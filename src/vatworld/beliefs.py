@@ -235,9 +235,8 @@ def is_faithful(
     t: Transducer,
     depth: int = 6,
     tol: float = DEFAULT_TOL,
-    force: bool = False,
 ) -> bool:
     """Does the belief machine generate the same process as its base machine?"""
     from .oracle import equivalent
 
-    return equivalent(msp.machine, t, depth, tol, force).equivalent
+    return equivalent(msp.machine, t, depth, tol).equivalent

@@ -158,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file2")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("minimize", help="quotient by the coarsest bisimulation")
     p.add_argument("file")
@@ -168,14 +167,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dimension", help="canonical dimension (state-count lower bound)")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("reduce-gt", help="rank-minimal quasi-probabilistic realization")
     p.add_argument("file")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--both-sides", action="store_true")
     p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("msp", help="machine of reachable Bayesian beliefs")
     p.add_argument("file")
@@ -260,7 +257,7 @@ def _cmd_sample(args, report: RunReport) -> int:
 def _cmd_equivalent(args, report: RunReport) -> int:
     t1 = _load_machine(report, args.file1)
     t2 = _load_machine(report, args.file2)
-    verdict = equivalent(t1, t2, args.depth, args.tol, args.force)
+    verdict = equivalent(t1, t2, args.depth, args.tol)
     report.parameters.update({"depth": verdict.depth_checked, "tol": args.tol})
     report.add("equivalent", verdict.equivalent)
     if verdict.counterexample is not None:
@@ -296,13 +293,13 @@ def _cmd_dimension(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
     report.parameters["tol"] = args.tol
     report.add("states", t.n)
-    report.add("canonical_dimension", canonical_dimension(t, args.tol, args.force))
+    report.add("canonical_dimension", canonical_dimension(t, args.tol))
     return 0
 
 
 def _cmd_reduce_gt(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
-    reduced = reduce_generalized(t, args.tol, args.both_sides, args.force)
+    reduced = reduce_generalized(t, args.tol, args.both_sides)
     report.parameters.update({"tol": args.tol, "both_sides": args.both_sides})
     report.add("states_before", t.n)
     report.add("dims_after", reduced.dims)

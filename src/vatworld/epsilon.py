@@ -9,7 +9,6 @@ canonical-labeling isomorphism test below makes checkable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,15 +19,6 @@ from .beliefs import build_msp, is_unifilar
 from .errors import StructureError
 from .minimize import coarsest_bisimulation, minimize_bisim
 from .oracle import equivalent, word_probability
-
-
-def depth_within_budget(n_actions: int, n_outputs: int, requested: int) -> int:
-    """Largest depth not exceeding ``requested`` that fits the word budget."""
-    branch = n_actions * n_outputs
-    if branch <= 1:
-        return requested
-    cap = int(math.floor(math.log(budget.current_budget()) / math.log(branch)))
-    return max(1, min(requested, cap))
 
 
 @dataclass(frozen=True)
@@ -52,8 +42,8 @@ def epsilon_transducer(
     """Minimal predictive machine: belief closure followed by bisimulation quotient.
 
     The construction asserts its own contract: the result is unifilar, has no
-    two bisimilar states, and generates the same process as the input up to a
-    budget-capped depth of twice the input's state count.
+    two bisimilar states, and gives every word up to twice the input's state
+    count the input's probability.
     """
     msp = build_msp(t, tol, max_states, max_depth)
     machine = minimize_bisim(msp.machine, tol)
@@ -61,7 +51,7 @@ def epsilon_transducer(
         raise RuntimeError("reduced belief machine lost unifilarity; construction bug")
     if not coarsest_bisimulation(machine, tol).is_discrete():
         raise RuntimeError("reduced belief machine still has bisimilar states")
-    check_depth = depth_within_budget(len(t.actions), len(t.outputs), 2 * t.n)
+    check_depth = 2 * t.n
     verdict = equivalent(machine, t, check_depth, max(tol, 1e-8))
     if not verdict.equivalent:
         raise RuntimeError(
@@ -242,7 +232,7 @@ def check_predictive(
     state anywhere (including a spread-out start) means the state cannot be
     read off the history.
     """
-    if not equivalent(candidate, reference, depth, tol, force).equivalent:
+    if not equivalent(candidate, reference, depth, tol).equivalent:
         return False
     n_actions, n_outputs = len(candidate.actions), len(candidate.outputs)
     budget.check(float(n_actions * n_outputs) ** depth, force, "observability check")

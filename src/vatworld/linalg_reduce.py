@@ -4,13 +4,14 @@ For each history h, the vector w(h) holds the probability of h's outputs
 given its actions from every possible start state.  The dimension of the span
 of these vectors lower-bounds the state count of any machine generating the
 same process; projecting the step matrices onto that span gives a (generally
-quasi-probabilistic) realization of exactly that dimension.
+quasi-probabilistic) realization of exactly that dimension.  Spans come from
+the span walk in ``oracle``, which extends only the histories that grow them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -23,17 +24,17 @@ from .core import (
     ValidationReport,
     Violation,
 )
-from .oracle import _boundary
+from .oracle import _boundary, _span_walk
 
 Source = Union[Transducer, GeneralizedTransducer]
 
 
 @dataclass(frozen=True)
 class HistoryMatrix:
-    """Start-state likelihood vectors, one column per enumerated history."""
+    """Start-state likelihood vectors, one column per history that grew the span."""
 
     columns: dict
-    max_len: int
+    max_len: Optional[int]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -43,96 +44,46 @@ class HistoryMatrix:
         return len(self.columns)
 
 
-def _numeric_rank(mat: np.ndarray, tol: float) -> int:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tol * sv[0]))
-
-
 def history_vectors(
-    t: Source, max_len: int, tol: float = DEFAULT_TOL, force: bool = False
+    t: Source, max_len: Optional[int] = None, tol: float = DEFAULT_TOL
 ) -> HistoryMatrix:
-    """Likelihood vectors for the empty history and every history up to max_len.
+    """Likelihood vectors of the histories that grow the span, up to max_len.
 
-    Vectors for longer histories arise from shorter ones by applying a
-    transposed step matrix, so the span can only stop growing once; levels are
-    generated until max_len or until the rank is unchanged by a full level.
+    The vector of a history h = (a1 y1 ... ak yk) is
+    M(a1 y1)' ... M(ak yk)' 1, so the basis-pruned span walk (Tzeng 1992)
+    runs on the transposed step matrices from the final vector and each
+    walked word is reversed into history order.  Only histories whose vector
+    leaves the span of the earlier ones (breadth-first, alphabet order) are
+    kept; they form a basis of the span of all histories up to max_len, and
+    with max_len None the walk runs until the span closes, within n - 1
+    levels.
     """
     final, kern, _ = _boundary(t)
-    n_actions, n_outputs = kern.shape[0], kern.shape[1]
-    budget.check(float(n_actions * n_outputs) ** max(max_len, 0), force, "history enumeration")
-    columns: dict[History, np.ndarray] = {History.empty(): final.astype(float)}
-    level = {History.empty(): final.astype(float)}
-    rank = _numeric_rank(np.stack(list(columns.values()), axis=1), tol)
-    a_syms = t.actions.symbols
-    y_syms = t.outputs.symbols
-    for _ in range(max_len):
-        nxt: dict[History, np.ndarray] = {}
-        for h, w in level.items():
-            for a in range(n_actions):
-                for y in range(n_outputs):
-                    longer = History((a_syms[a],) + h.actions, (y_syms[y],) + h.outputs)
-                    nxt[longer] = kern[a, y].T @ w
-        columns.update(nxt)
-        level = nxt
-        new_rank = _numeric_rank(np.stack(list(columns.values()), axis=1), tol)
-        if new_rank == rank:
-            break
-        rank = new_rank
+    a_syms, y_syms = t.actions.symbols, t.outputs.symbols
+    columns: dict[History, np.ndarray] = {}
+    for word, vec, direction in _span_walk(final, kern.transpose(0, 1, 3, 2), tol, max_len):
+        if direction is not None:
+            pairs = word[::-1]
+            h = History(tuple(a_syms[a] for a, _ in pairs), tuple(y_syms[y] for _, y in pairs))
+            columns[h] = vec
     return HistoryMatrix(columns, max_len)
 
 
-def canonical_dimension(t: Source, tol: float = DEFAULT_TOL, force: bool = False) -> int:
+def canonical_dimension(t: Source, tol: float = DEFAULT_TOL) -> int:
     """Dimension of the history-vector span (a state-count lower bound).
 
-    The span stabilizes by history length n - 1 for an n-state machine, so
-    enumeration never needs to go further.
+    This is the number of histories the span walk keeps: exact up to the
+    tolerance, since the walk runs until the span closes (Tzeng 1992).
     """
-    hm = history_vectors(t, max(t.n - 1, 0), tol, force)
-    return _numeric_rank(hm.matrix, tol)
+    return len(history_vectors(t, tol=tol))
 
 
-def _observability_basis(t: Source, tol: float, force: bool) -> np.ndarray:
-    hm = history_vectors(t, max(t.n - 1, 0), tol, force)
-    mat = hm.matrix
-    u_svd, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        raise RuntimeError(
-            "history-vector span is degenerate; a valid machine always spans the "
-            "all-ones direction"
-        )
-    r = int(np.sum(sv > tol * sv[0]))
-    return u_svd[:, :r]
-
-
-def _reachability_basis(g: GeneralizedTransducer, tol: float, force: bool) -> np.ndarray:
-    """Orthonormal basis for the span of forward vectors M(word) @ v."""
-    kern = g.matrices
-    n_actions, n_outputs = kern.shape[0], kern.shape[1]
-    max_len = max(g.dims - 1, 0)
-    budget.check(float(n_actions * n_outputs) ** max_len, force, "reachability enumeration")
-    vectors = [g.v.astype(float)]
-    level = [g.v.astype(float)]
-    rank = _numeric_rank(np.stack(vectors, axis=1), tol)
-    for _ in range(max_len):
-        nxt = []
-        for w in level:
-            for a in range(n_actions):
-                for y in range(n_outputs):
-                    nxt.append(kern[a, y] @ w)
-        vectors.extend(nxt)
-        level = nxt
-        new_rank = _numeric_rank(np.stack(vectors, axis=1), tol)
-        if new_rank == rank:
-            break
-        rank = new_rank
-    mat = np.stack(vectors, axis=1)
-    u_svd, sv, _ = np.linalg.svd(mat, full_matrices=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        raise RuntimeError("reachable span is degenerate (v must be nonzero)")
-    r = int(np.sum(sv > tol * sv[0]))
-    return u_svd[:, :r]
+def _span_basis(start: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal columns spanning every word vector the walk reaches from start."""
+    directions = [q for _, _, q in _span_walk(start, mats, tol) if q is not None]
+    if not directions:
+        raise RuntimeError("word-vector span is degenerate (zero boundary vector)")
+    return np.stack(directions, axis=1)
 
 
 def _standard_form(
@@ -161,7 +112,6 @@ def reduce_generalized(
     t: Source,
     tol: float = DEFAULT_TOL,
     both_sides: bool = False,
-    force: bool = False,
 ) -> GeneralizedTransducer:
     """Project the machine onto its history-vector span.
 
@@ -178,13 +128,13 @@ def reduce_generalized(
     """
     final, kern, start = _boundary(t)
     name = f"{getattr(t, 'name', 'source')}/reduced"
-    c_mat = _observability_basis(t, tol, force)
+    c_mat = _span_basis(final, kern.transpose(0, 1, 3, 2), tol)
     mats = np.einsum("ki,ayij,jl->aykl", c_mat.T, kern, c_mat)
     u_vec = c_mat.T @ final
     v_vec = c_mat.T @ start
     if both_sides:
         probe = _standard_form(c_mat.shape[1], t.actions, t.outputs, mats, u_vec, v_vec, name)
-        d_mat = _reachability_basis(probe, tol, force)
+        d_mat = _span_basis(probe.v, probe.matrices, tol)
         mats = np.einsum("ki,ayij,jl->aykl", d_mat.T, probe.matrices, d_mat)
         u_vec = d_mat.T @ probe.u
         v_vec = d_mat.T @ probe.v

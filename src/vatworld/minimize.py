@@ -98,20 +98,26 @@ def _group_by_signature(sig: np.ndarray, tol: float) -> Partition:
 def coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
     """Coarsest partition merging states with matching emission and block signatures.
 
-    Starts from emission signatures and refines against the current blocks
-    until stable; terminates in at most n rounds since the class count can
-    only grow.
+    Starts from emission signatures, then splits each class by its members'
+    signatures against the current blocks until no class splits.  A split
+    never merges states of different classes, so the class count only grows
+    and refinement ends within n rounds.
     """
-    part = _group_by_signature(_emission_signature(t), tol)
-    for _ in range(t.n + 1):
-        refined = _group_by_signature(
-            np.concatenate([_emission_signature(t), _block_signature(t, part)], axis=1),
-            tol,
+    em = _emission_signature(t)
+    part = _group_by_signature(em, tol)
+    while True:
+        sig = np.concatenate([em, _block_signature(t, part)], axis=1)
+        refined = Partition.from_classes(
+            [
+                [members[i] for i in group]
+                for members in part.classes
+                for group in _group_by_signature(sig[list(members)], tol).classes
+            ],
+            t.n,
         )
-        if refined.classes == part.classes:
+        if refined.n_classes == part.n_classes:
             return part
         part = refined
-    raise RuntimeError("partition refinement failed to stabilize in n rounds")
 
 
 def _check_bisimulation(t: Transducer, part: Partition, tol: float) -> None:

@@ -39,12 +39,7 @@ from vatworld.beliefs import (
 )
 from vatworld.cli import run
 from vatworld.core import History, Policy, make_card_deck, validate
-from vatworld.epsilon import (
-    depth_within_budget,
-    epsilon_from_histories,
-    epsilon_transducer,
-    is_isomorphic,
-)
+from vatworld.epsilon import epsilon_from_histories, epsilon_transducer, is_isomorphic
 from vatworld.fixtures import delay_channel, mixture_hmm, parity_flip, parity_flip_redundant
 from vatworld.linalg_reduce import canonical_dimension, gt_validate_interface, reduce_generalized
 from vatworld.minimize import coarsest_bisimulation, minimize_bisim
@@ -90,8 +85,7 @@ def test_criterion_1_bisimulation_correctness():
         n_y = int(rng.integers(1, 4))
         t = random_transducer(rng, n=n, n_actions=n_a, n_outputs=n_y, name=f"acc1-{k}")
         small = minimize_bisim(t, 1e-9)
-        depth = depth_within_budget(n_a, n_y, 2 * n)
-        ok = ok and equivalent(t, small, depth=depth, tol=1e-9).equivalent
+        ok = ok and equivalent(t, small, tol=1e-9).equivalent
     _report(1, ok, "bisimulation quotient preserves the interface (fixture + 50 seeded)")
     assert ok
 

@@ -188,6 +188,20 @@ class TestCli:
         got = {v["name"]: v["value"] for v in report.verdicts}
         assert got["canonical_dimension"] == 2
 
+    def test_span_commands_answer_on_3r3b_deck(self, tmp_path):
+        # 20 states: far too many words to enumerate, few span directions
+        deck, small = str(tmp_path / "deck.json"), str(tmp_path / "deck.min.json")
+        vio.save_transducer(make_card_deck(3, 3, "cyclic"), deck)
+        assert run(["minimize", deck, "--out", small])[0] == 0
+        for argv in (
+            ["dimension", deck],
+            ["reduce-gt", deck, "--both-sides"],
+            ["equivalent", deck, small],
+        ):
+            code, report = run(argv)
+            assert code == 0, report.verdicts
+        assert {"name": "equivalent", "value": True} in report.verdicts
+
     def test_reduce_gt_round_trip(self, machine_files, tmp_path):
         out = tmp_path / "gt.json"
         code, report = run(["reduce-gt", machine_files["mixture-hmm"], "--out", str(out)])

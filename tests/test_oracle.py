@@ -5,9 +5,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vatworld.core import History, Policy, Transducer
 from vatworld.errors import BudgetExceededError, ImpossibleHistoryError, StructureError
+from vatworld.linalg_reduce import reduce_generalized
+from vatworld.minimize import minimize_bisim
 from vatworld.oracle import (
     InterfaceView,
     MemoryClass,
@@ -156,7 +160,70 @@ class TestEquivalent:
 
     def test_budget_guard(self, fix_a):
         with pytest.raises(BudgetExceededError):
-            equivalent(fix_a, fix_a, depth=20)
+            memory_class(fix_a, depth=20)
+
+
+def _lifted(t, rng):
+    """t with each state split into two bisimilar copies: the same interface."""
+    w = rng.uniform(0.1, 0.9, t.n)
+    split = np.concatenate([w, 1.0 - w])  # share of state j's mass per copy
+    kernel = np.tile(t.kernel, (1, 1, 2, 2)) * split[:, None]
+    initial = np.tile(t.initial, 2) * split
+    states = [f"{s}{c}" for c in "ab" for s in t.states]
+    return Transducer("lifted", states, t.actions, t.outputs, kernel, initial)
+
+
+def _rerouted(t, rng):
+    """t with new landing states but the same per-state emission laws."""
+    emission = t.kernel.sum(axis=2, keepdims=True)
+    route = t.kernel / emission + 0.5 * rng.random(t.kernel.shape)
+    route /= route.sum(axis=2, keepdims=True)
+    return Transducer("rerouted", t.states, t.actions, t.outputs, route * emission, t.initial)
+
+
+def _brute_force_first_failure(t1, t2, depth, tol=1e-9):
+    """Shortest length <= depth of a word the two sources disagree on, or None."""
+    for ell in range(1, depth + 1):
+        for h in all_histories(t1, ell):
+            if abs(word_probability(t1, h) - word_probability(t2, h)) > tol:
+                return ell
+    return None
+
+
+class TestEquivalentAgainstBruteForce:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["minimized", "lifted", "reduced", "rerouted", "unrelated"]),
+        depth=st.integers(1, 4),
+    )
+    def test_verdict_and_shortest_counterexample(self, seed, kind, depth):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((2, 4), (1, 3), (1, 4)))
+        t = random_transducer(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        if kind == "minimized":
+            big = _lifted(t, rng)
+            pair = (big, minimize_bisim(big))
+        elif kind == "lifted":
+            pair = (t, _lifted(t, rng))
+        elif kind == "reduced":
+            pair = (reduce_generalized(t), t)
+        elif kind == "rerouted":
+            pair = (t, _rerouted(t, rng))
+        else:
+            pair = (t, random_transducer(rng, n=n, n_actions=n_a, n_outputs=n_y))
+        verdict = equivalent(*pair, depth=depth)
+        failure = _brute_force_first_failure(*pair, depth)
+        assert verdict.equivalent == (failure is None)
+        assert verdict.depth_checked == depth
+        if failure is not None:
+            ce = verdict.counterexample
+            assert len(ce.history) == failure
+            assert ce.p1 == pytest.approx(word_probability(pair[0], ce.history), abs=1e-12)
+            assert ce.p2 == pytest.approx(word_probability(pair[1], ce.history), abs=1e-12)
+            assert ce.difference > 1e-9
+        if kind in ("minimized", "lifted", "reduced"):
+            assert equivalent(*pair).equivalent
 
 
 class TestMemoryClass:
