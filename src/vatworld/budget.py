@@ -1,9 +1,10 @@
-"""Enumeration budget guard.
+"""Word budget guard.
 
-Operations that enumerate all action-output words of a given length grow as
-(|A|*|Y|)**depth; past ~1e7 words the desk-scale runtime promise breaks down,
-so enumerating operations refuse to start unless forced.  The cap can be
-overridden with the VATWORLD_BUDGET environment variable.
+Depth-bounded checks enumerate every action-output word up to a length, which
+grows as (|A|*|Y|)**depth; past ~1e7 words the desk-scale runtime promise
+breaks down.  The level-batched word walk (``oracle._word_levels``) charges
+its words here once, before it starts, and refuses to start over the cap.
+The cap is overridden with the VATWORLD_BUDGET environment variable.
 """
 
 import os
@@ -23,11 +24,11 @@ def current_budget() -> int:
         return DEFAULT_BUDGET
 
 
-def check(n_words: float, force: bool = False, what: str = "enumeration") -> None:
-    """Raise BudgetExceededError if ``n_words`` exceeds the cap (unless forced)."""
+def check(n_words: float, what: str = "enumeration") -> None:
+    """Raise BudgetExceededError if ``n_words`` exceeds the cap."""
     cap = current_budget()
-    if not force and n_words > cap:
+    if n_words > cap:
         raise BudgetExceededError(
             f"{what} would visit ~{n_words:.3g} words, over the budget of {cap}; "
-            "pass force=True or raise VATWORLD_BUDGET to proceed"
+            "raise VATWORLD_BUDGET to proceed"
         )

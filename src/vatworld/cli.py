@@ -140,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--pretty", action="store_true")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("prob", help="probability of an output word given an action word")
     p.add_argument("file")
@@ -190,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hist-depth", type=int, default=4)
     p.add_argument("--future-depth", type=int, default=3)
     p.add_argument("--out")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("reverse", help="reversibility verdict and backward kernels")
     p.add_argument("file")
@@ -198,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=4)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="path prefix for per-time backward kernel files")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("smooth", help="state posteriors at every time of a trace")
     p.add_argument("file")
@@ -226,7 +223,7 @@ def _cmd_info(args, report: RunReport) -> int:
     report.add("name", t.name)
     report.add("states", t.n)
     report.add("moore_class", classify_moore(t, args.tol).value)
-    report.add("memory_class", memory_class(t, args.depth, args.tol, args.force).value)
+    report.add("memory_class", memory_class(t, args.depth, args.tol).value)
     report.add("unifilar", is_unifilar(t, args.tol))
     report.add("action_counifilar", is_action_counifilar(t, args.tol))
     if args.pretty:
@@ -332,9 +329,7 @@ def _cmd_epsilon(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
     report.parameters["tol"] = args.tol
     if args.from_histories:
-        clustering = epsilon_from_histories(
-            t, args.hist_depth, args.future_depth, args.tol, args.force
-        )
+        clustering = epsilon_from_histories(t, args.hist_depth, args.future_depth, args.tol)
         machine = clustering.machine
         report.parameters.update(
             {"hist_depth": args.hist_depth, "future_depth": args.future_depth}
@@ -357,7 +352,7 @@ def _cmd_epsilon(args, report: RunReport) -> int:
 def _cmd_reverse(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
     policy = _parse_policy(args.policy)
-    verdict = check_reversible(t, policy, args.horizon, args.tol, args.force)
+    verdict = check_reversible(t, policy, args.horizon, args.tol)
     report.parameters.update(
         {"policy": policy.describe(), "horizon": args.horizon, "tol": args.tol}
     )
@@ -366,7 +361,7 @@ def _cmd_reverse(args, report: RunReport) -> int:
     if verdict.witness is not None:
         report.add("witness", str(verdict.witness))
     if verdict.reversible and args.out:
-        marginals = state_marginals(t, policy, args.horizon, args.force)
+        marginals = state_marginals(t, policy, args.horizon)
         for tau in range(args.horizon):
             rk = reverse_kernel(t, policy, tau, marginals=marginals, tol=args.tol)
             records = []

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import budget
 from .core import DEFAULT_TOL, History, Transducer
 from .beliefs import build_msp, is_unifilar
 from .errors import StructureError
 from .minimize import coarsest_bisimulation, minimize_bisim
-from .oracle import equivalent, word_probability
+from .oracle import _history, _positive, _word_levels, equivalent, word_probability
 
 
 @dataclass(frozen=True)
@@ -88,36 +87,8 @@ class HistoryClustering:
         return len(self.classes)
 
 
-def _future_signature(
-    t: Transducer, state_vec: np.ndarray, future_depth: int
-) -> np.ndarray:
-    """Conditional probabilities of every future word up to the given length.
-
-    ``state_vec`` is the normalized state distribution after the history; the
-    signature stacks the probability of each (actions, outputs) continuation
-    in a fixed enumeration order.
-    """
-    n_actions, n_outputs = len(t.actions), len(t.outputs)
-    sig: list[float] = []
-    level = [state_vec]
-    for _ in range(future_depth):
-        nxt: list[np.ndarray] = []
-        for v in level:
-            for a in range(n_actions):
-                for y in range(n_outputs):
-                    child = t.kernel[a, y] @ v
-                    nxt.append(child)
-                    sig.append(float(child.sum()))
-        level = nxt
-    return np.array(sig)
-
-
 def epsilon_from_histories(
-    t: Transducer,
-    hist_depth: int,
-    future_depth: int,
-    tol: float = DEFAULT_TOL,
-    force: bool = False,
+    t: Transducer, hist_depth: int, future_depth: int, tol: float = DEFAULT_TOL
 ) -> HistoryClustering:
     """Cluster positive-probability histories by bounded-future equivalence.
 
@@ -129,61 +100,59 @@ def epsilon_from_histories(
     existing class, the flag drops and the extension is attached to the
     nearest class by signature distance.
     """
-    n_actions, n_outputs = len(t.actions), len(t.outputs)
-    branch = n_actions * n_outputs
-    budget.check(
-        float(branch) ** hist_depth * float(branch) ** future_depth,
-        force,
-        "history clustering",
-    )
     if hist_depth < 1:
         raise StructureError("hist_depth must be at least 1")
 
-    # Enumerate positive-probability histories by length with forward vectors.
-    levels: list[dict[History, np.ndarray]] = [{History.empty(): t.initial.copy()}]
-    for _ in range(hist_depth):
-        prev = levels[-1]
-        cur: dict[History, np.ndarray] = {}
-        for h, v in prev.items():
-            for a in range(n_actions):
-                for y in range(n_outputs):
-                    child = t.kernel[a, y] @ v
-                    if child.sum() > 1e-12:
-                        cur[h.extended(t.actions.symbols[a], t.outputs.symbols[y])] = child
-        levels.append(cur)
+    # Positive-probability histories by length, with their forward vectors.
+    histories: list[History] = []
+    lengths: list[int] = []
+    vecs_of: list[np.ndarray] = []
+    levels = _word_levels([t.initial], t.kernel, hist_depth, "history clustering", _positive)
+    for length, (_, words, vecs) in enumerate(levels):
+        rows = _positive(words, vecs)
+        histories += [_history(t, word) for word in words[rows]]
+        lengths += [length] * int(rows.sum())
+        vecs_of.append(vecs[rows])
+
+    # Signature: the conditional probability of every future word up to
+    # future_depth, level by level in alphabet order, from one batched walk.
+    starts = np.concatenate(vecs_of)
+    starts /= starts.sum(axis=1, keepdims=True)
+    futures = _word_levels(starts, t.kernel, future_depth, "history clustering")
+    next(futures)
+    sigs = np.concatenate(
+        [np.zeros((len(starts), 0))]
+        + [vecs.sum(axis=1).reshape(len(starts), -1) for _, _, vecs in futures],
+        axis=1,
+    )
 
     # Cluster histories of length < hist_depth; the deepest level only tests
     # stabilization and supplies transition targets.
-    reps: list[np.ndarray] = []
-    rep_history: list[History] = []
+    rep_rows: list[int] = []
     classes: list[list[History]] = []
     class_of: dict[History, int] = {}
-    for level in levels[:-1]:
-        for h, v in level.items():
-            sig = _future_signature(t, v / v.sum(), future_depth)
-            for ci, rsig in enumerate(reps):
-                if np.all(np.abs(sig - rsig) <= tol):
-                    classes[ci].append(h)
-                    class_of[h] = ci
-                    break
-            else:
-                reps.append(sig)
-                rep_history.append(h)
-                classes.append([h])
-                class_of[h] = len(classes) - 1
-
     stabilized = True
-    for h, v in levels[-1].items():
-        sig = _future_signature(t, v / v.sum(), future_depth)
-        dists = [float(np.max(np.abs(sig - rsig))) for rsig in reps]
-        ci = int(np.argmin(dists))
-        if dists[ci] > tol:
-            stabilized = False
+    for row, (h, length) in enumerate(zip(histories, lengths)):
+        dists = np.max(np.abs(sigs[rep_rows] - sigs[row]), axis=1, initial=0.0)
+        if length < hist_depth:
+            match = np.flatnonzero(dists <= tol)
+            if match.size:
+                ci = int(match[0])
+            else:
+                rep_rows.append(row)
+                classes.append([])
+                ci = len(classes) - 1
+        else:
+            ci = int(np.argmin(dists))
+            if dists[ci] > tol:
+                stabilized = False
         classes[ci].append(h)
         class_of[h] = ci
+    rep_history = [histories[row] for row in rep_rows]
 
     # Induced machine: transitions from each class representative.
     k = len(classes)
+    n_actions, n_outputs = len(t.actions), len(t.outputs)
     kernel = np.zeros((n_actions, n_outputs, k, k))
     for ci, rep in enumerate(rep_history):
         p_rep = word_probability(t, rep)
@@ -219,45 +188,39 @@ def epsilon_from_histories(
 
 
 def check_predictive(
-    candidate: Transducer,
-    reference: Transducer,
-    depth: int = 6,
-    tol: float = DEFAULT_TOL,
-    force: bool = False,
+    candidate: Transducer, reference: Transducer, depth: int = 6, tol: float = DEFAULT_TOL
 ) -> bool:
     """Faithful to the reference, and state pinned down by each history?
 
-    The second half enumerates positive-probability histories and tracks the
-    set of candidate states reachable along each; more than one reachable
-    state anywhere (including a spread-out start) means the state cannot be
-    read off the history.
+    The second half walks positive-probability histories and tracks the
+    candidate state reachable along each; more than one reachable state
+    anywhere (including a spread-out start) means the state cannot be read
+    off the history.
     """
     if not equivalent(candidate, reference, depth, tol).equivalent:
         return False
-    n_actions, n_outputs = len(candidate.actions), len(candidate.outputs)
-    budget.check(float(n_actions * n_outputs) ** depth, force, "observability check")
-    start = frozenset(int(i) for i in np.flatnonzero(candidate.initial > tol))
+    start = np.flatnonzero(candidate.initial > tol)
     if len(start) > 1:
         return False
-    stack = [(start, 0, candidate.initial.copy())]
-    while stack:
-        reach, length, vec = stack.pop()
-        if length == depth:
-            continue
-        for a in range(n_actions):
-            for y in range(n_outputs):
-                child_vec = candidate.kernel[a, y] @ vec
-                if child_vec.sum() <= 1e-12:
-                    continue
-                child_reach = frozenset(
-                    int(i)
-                    for i in np.flatnonzero(
-                        candidate.kernel[a, y][:, list(reach)].sum(axis=1) > tol
-                    )
-                )
-                if len(child_reach) > 1:
-                    return False
-                stack.append((child_reach, length + 1, child_vec))
+    # With at most one reachable state, the next one is a table lookup:
+    # succ[x, s] is the state letter x leads to from s, n standing for none,
+    # and fan[x, s] counts the states it could lead to.
+    n = candidate.n
+    hits = np.zeros((len(candidate.actions) * len(candidate.outputs), n + 1, n), dtype=bool)
+    hits[:, :n] = candidate.kernel.reshape(-1, n, n).transpose(0, 2, 1) > tol
+    fan = hits.sum(axis=2)
+    succ = np.where(fan == 1, hits.argmax(axis=2), n)
+
+    reach = start if len(start) else np.array([n])
+    levels = _word_levels(
+        [candidate.initial], candidate.kernel, depth, "observability check", _positive
+    )
+    next(levels)
+    for parent, words, vecs in levels:
+        last, before = words[:, -1], reach[parent]
+        if np.any(_positive(words, vecs) & (fan[last, before] > 1)):
+            return False
+        reach = succ[last, before]
     return True
 
 

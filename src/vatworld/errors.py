@@ -18,7 +18,11 @@ class ImpossibleHistoryError(VatworldError):
 
 
 class BudgetExceededError(VatworldError):
-    """An enumeration would exceed the word budget (see ``budget.check``)."""
+    """A depth-bounded word walk would exceed the word budget.
+
+    Raised before any work by ``budget.check``; the cap is the
+    VATWORLD_BUDGET environment variable (default 10**7 words).
+    """
 
 
 class PartitionError(VatworldError):

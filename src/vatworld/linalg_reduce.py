@@ -15,7 +15,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import budget
 from .core import (
     DEFAULT_TOL,
     GeneralizedTransducer,
@@ -24,7 +23,7 @@ from .core import (
     ValidationReport,
     Violation,
 )
-from .oracle import _boundary, _span_walk
+from .oracle import _boundary, _history, _span_walk, _word_levels
 
 Source = Union[Transducer, GeneralizedTransducer]
 
@@ -142,10 +141,7 @@ def reduce_generalized(
 
 
 def gt_validate_interface(
-    g: GeneralizedTransducer,
-    depth: int = 6,
-    tol: float = DEFAULT_TOL,
-    force: bool = False,
+    g: GeneralizedTransducer, depth: int = 6, tol: float = DEFAULT_TOL
 ) -> ValidationReport:
     """Check that induced word probabilities behave like probabilities.
 
@@ -154,45 +150,38 @@ def gt_validate_interface(
     depth * tol.
     """
     n_actions, n_outputs = len(g.actions), len(g.outputs)
-    budget.check(float(n_actions * n_outputs) ** depth, force, "interface validation")
     found: list[Violation] = []
     sum_tol = depth * tol
-
-    stack = [((), g.v[:, None], [()])]
-    while stack:
-        a_word, v_cols, out_words = stack.pop()
-        if len(a_word) == depth:
-            continue
-        for a in range(n_actions):
-            children = np.einsum("yij,jk->yik", g.matrices[a], v_cols)
-            probs = np.einsum("i,yik->yk", g.u, children)
-            bad = np.argwhere((probs < -tol) | (probs > 1.0 + tol))
-            for y, k in bad:
-                word_a = tuple(g.actions.symbols[x] for x in a_word + (a,))
-                word_y = tuple(g.outputs.symbols[x] for x in out_words[k] + (int(y),))
-                found.append(
-                    Violation(
-                        "word_probability_range",
-                        (word_a, word_y),
-                        float(probs[y, k]),
-                        f"word (a={','.join(word_a)}; y={','.join(word_y)}) has "
-                        f"probability {probs[y, k]:.6g} outside [0, 1]",
-                    )
+    levels = _word_levels([g.v], g.matrices, depth, "interface validation")
+    next(levels)
+    for length, (_, words, vecs) in enumerate(levels, 1):
+        probs = vecs @ g.u
+        for r in np.flatnonzero((probs < -tol) | (probs > 1.0 + tol)):
+            h = _history(g, words[r])
+            word_a, word_y = h.actions, h.outputs
+            found.append(
+                Violation(
+                    "word_probability_range",
+                    (word_a, word_y),
+                    float(probs[r]),
+                    f"word (a={','.join(word_a)}; y={','.join(word_y)}) has "
+                    f"probability {probs[r]:.6g} outside [0, 1]",
                 )
-            # columns are never pruned here, so this is the full level total
-            total = float(probs.sum())
-            if abs(total - 1.0) > sum_tol:
-                word_a = tuple(g.actions.symbols[x] for x in a_word + (a,))
-                found.append(
-                    Violation(
-                        "normalization",
-                        (word_a,),
-                        total - 1.0,
-                        f"output-word probabilities for actions {','.join(word_a)} "
-                        f"sum to {total:.9g}",
-                    )
+            )
+        # rows are never pruned here, so each action word has all its output words
+        totals = probs.reshape((n_actions, n_outputs) * length).sum(
+            axis=tuple(range(1, 2 * length, 2))
+        )
+        for a_word in np.argwhere(np.abs(totals - 1.0) > sum_tol):
+            total = float(totals[tuple(a_word)])
+            word_a = tuple(g.actions.symbols[x] for x in a_word)
+            found.append(
+                Violation(
+                    "normalization",
+                    (word_a,),
+                    total - 1.0,
+                    f"output-word probabilities for actions {','.join(word_a)} "
+                    f"sum to {total:.9g}",
                 )
-            new_words = [w + (int(y),) for y in range(n_outputs) for w in out_words]
-            nv = np.concatenate([children[y] for y in range(n_outputs)], axis=1)
-            stack.append((a_word + (a,), nv, new_words))
+            )
     return ValidationReport(tuple(found))

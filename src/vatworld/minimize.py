@@ -165,7 +165,7 @@ def quotient(t: Transducer, part: Partition, tol: float = DEFAULT_TOL) -> Transd
         member[ci, list(members)] = 1.0
     weights = member / member.sum(axis=1, keepdims=True)
     # new_kernel[a, y, C, D]: sum rows over C, average columns over D's members
-    new_kernel = np.einsum("ci,ayij,dj->aycd", member, t.kernel, weights)
+    new_kernel = member @ t.kernel @ weights.T
     new_initial = member @ t.initial
     labels = ["+".join(t.states[s] for s in members) for members in part.classes]
     return Transducer(

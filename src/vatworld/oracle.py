@@ -4,9 +4,10 @@ Word probabilities come straight from the defining matrix products, with no
 reliance on any reduced or derived presentation, so the rest of the library
 can be checked against them.  Questions about all words at once (interface
 equivalence here, the history-vector span in ``linalg_reduce``) go through
-one basis-pruned span walk, which visits at most dim * |A| * |Y| words.  The
-memory-class diagnosis still enumerates words to a depth under the global
-word budget.
+one basis-pruned span walk, which visits at most dim * |A| * |Y| words.
+Questions bounded by a word length (the memory-class diagnosis here, and the
+depth- or horizon-bounded checks elsewhere) go through one level-batched word
+walk, the only place that charges the global word budget.
 """
 
 from __future__ import annotations
@@ -78,6 +79,48 @@ def _span_walk(start: np.ndarray, mats: np.ndarray, tol: float, max_len: Optiona
                 if direction is not None:
                     grown.append((longer, child))
         frontier = grown
+
+
+def _word_levels(starts, mats: np.ndarray, depth: int, what: str, keep=None):
+    """Level-batched breadth-first walk over every word up to a length.
+
+    Yields (parent, words, vecs) for each length 0..depth.  mats is [A, Y, d, d]
+    or [A, d, d], flattened to X letters x = a * |Y| + y (or x = a).  words[r]
+    holds row r's letters in time order, vecs[r] = mats[x_L] @ ... @ mats[x_1]
+    @ start, and parent[r] is the row of the previous level it extends (at
+    length 0, its index in starts).  Rows come in (parent, letter) order, so
+    each level is in alphabet order.  keep(words, vecs) masks the rows to
+    extend; without it every row is.  The word budget is charged once, before
+    any work, for len(starts) * X**depth words.
+    """
+    dims = mats.shape[-1]
+    step = mats.reshape(-1, dims).T  # row vector @ step = every one-letter child
+    n_letters = step.shape[1] // dims
+    vecs = np.asarray(starts, dtype=float).reshape(-1, dims)
+    budget.check(len(vecs) * float(n_letters) ** depth, what)
+    parent = np.arange(len(vecs))
+    words = np.zeros((len(vecs), 0), dtype=np.intp)
+    for length in range(depth + 1):
+        yield parent, words, vecs
+        if length == depth:
+            return
+        rows = np.arange(len(vecs)) if keep is None else np.flatnonzero(keep(words, vecs))
+        parent = np.repeat(rows, n_letters)
+        words = np.column_stack([words[parent], np.tile(np.arange(n_letters), len(rows))])
+        vecs = (vecs[rows] @ step).reshape(-1, dims)
+
+
+def _positive(words: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """The rows of a word level whose probability is above 1e-12."""
+    return vecs.sum(axis=1) > 1e-12
+
+
+def _history(t: Source, word) -> History:
+    """The history spelled by a row of flattened letters x = a * |Y| + y."""
+    a_idx, y_idx = np.divmod(np.asarray(word, dtype=np.intp), len(t.outputs))
+    return History(
+        tuple(t.actions.symbols[a] for a in a_idx), tuple(t.outputs.symbols[y] for y in y_idx)
+    )
 
 
 def forward_vector(t: Source, h: History) -> np.ndarray:
@@ -241,30 +284,23 @@ def _is_memoryless(t: Transducer, depth: int, tol: float) -> bool:
     """
     em = t.emission_marginals()  # [a, y, j]
     tr = t.transition_marginals()  # [a, i, j]
-    n_actions, n_outputs = len(t.actions), len(t.outputs)
-    marg = np.empty((depth, n_actions, n_outputs))
+    marg = np.empty((depth, len(t.actions) * len(t.outputs)))
     state_dist = t.initial.copy()
     for step in range(depth):
-        marg[step] = em[:, :, :] @ state_dist  # [a, y]
+        marg[step] = (em @ state_dist).reshape(-1)  # flat over (a, y)
         state_dist = tr[0] @ state_dist  # canonical prefix: always action 0
-    ok = True
 
-    def walk(v: np.ndarray, prod: float, step: int):
-        nonlocal ok
-        if not ok or step == depth:
-            return
-        for a in range(n_actions):
-            for y in range(n_outputs):
-                p = float((t.kernel[a, y] @ v).sum())
-                expect = prod * marg[step, a, y]
-                if abs(p - expect) > tol:
-                    ok = False
-                    return
-                if p > 0.0 or expect > 0.0:
-                    walk(t.kernel[a, y] @ v, expect, step + 1)
+    def expect(words: np.ndarray) -> np.ndarray:
+        return marg[np.arange(words.shape[1]), words].prod(axis=1)
 
-    walk(t.initial, 1.0, 0)
-    return ok
+    levels = _word_levels(
+        [t.initial], t.kernel, depth, "memory-class check",
+        keep=lambda words, vecs: (vecs.sum(axis=1) > 0.0) | (expect(words) > 0.0),
+    )
+    next(levels)  # the empty word has nothing to factor
+    return all(
+        np.all(np.abs(vecs.sum(axis=1) - expect(words)) <= tol) for _, words, vecs in levels
+    )
 
 
 def _is_fully_observable(t: Transducer, depth: int, tol: float) -> bool:
@@ -275,43 +311,24 @@ def _is_fully_observable(t: Transducer, depth: int, tol: float) -> bool:
     choice of next action) must agree with the conditional of every other
     history ending in the same (output, action) pair.
     """
-    n_actions, n_outputs = len(t.actions), len(t.outputs)
-    reference: dict[tuple[int, int], np.ndarray] = {}
-    ok = True
-
-    def walk(v: np.ndarray, last: Optional[tuple[int, int]], length: int):
-        nonlocal ok
-        if not ok:
-            return
-        p_hist = float(v.sum())
-        if p_hist <= 1e-12:
-            return
-        if length >= depth:
-            return
-        for a in range(n_actions):
-            children = [t.kernel[a, y] @ v for y in range(n_outputs)]
-            cond = np.array([c.sum() for c in children]) / p_hist
-            if last is not None:
-                key = (last[0], last[1])
-                ref = reference.get(key)
-                if ref is None:
-                    reference[key] = cond
-                elif np.any(np.abs(ref - cond) > tol):
-                    ok = False
-                    return
-            for y in range(n_outputs):
-                walk(children[y], (y, a), length + 1)
-
-    walk(t.initial, None, 0)
-    return ok
+    em = t.emission_marginals()  # [a, y, j]
+    reference: dict[int, np.ndarray] = {}
+    levels = _word_levels([t.initial], t.kernel, depth - 1, "memory-class check", _positive)
+    next(levels, None)  # the first output's distribution is unconstrained
+    for _, words, vecs in levels:
+        rows = _positive(words, vecs)
+        cond = np.einsum("ayj,rj->ray", em, vecs[rows]) / vecs[rows].sum(axis=1)[:, None, None]
+        last = words[rows, -1]
+        for x in np.unique(last):
+            conds = cond[last == x]
+            ref = reference.setdefault(int(x), conds[0, 0])
+            if np.any(np.abs(conds - ref) > tol):
+                return False
+    return True
 
 
-def memory_class(
-    t: Transducer, depth: int = 6, tol: float = DEFAULT_TOL, force: bool = False
-) -> MemoryClass:
+def memory_class(t: Transducer, depth: int = 6, tol: float = DEFAULT_TOL) -> MemoryClass:
     """Diagnose the interface's memory structure up to a word-length bound."""
-    n_actions, n_outputs = len(t.actions), len(t.outputs)
-    budget.check(float(n_actions * n_outputs) ** depth, force, "memory-class check")
     if _is_memoryless(t, depth, tol):
         return MemoryClass.MEMORYLESS
     if _is_fully_observable(t, depth, tol):

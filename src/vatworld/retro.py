@@ -55,17 +55,19 @@ def bdmsm_from_word(t: Transducer, h: History) -> BDMSM:
     """Joint (start, current) posterior from scratch for a whole window.
 
     The time-ordered product of step matrices hits a diagonal matrix of the
-    initial distribution; normalizing by the window's probability makes it
-    the posterior.  The empty window returns the diagonal prior itself.
+    initial distribution; renormalizing after every step keeps long windows
+    from underflowing and leaves the posterior at the end.  The empty window
+    returns the diagonal prior itself.
     """
     a_idx, y_idx = t.word_indices(h)
-    mat = np.diag(t.initial)
+    mat = np.diag(t.initial / t.initial.sum())
     for a, y in zip(a_idx, y_idx):
         mat = t.kernel[a, y] @ mat
-    z = float(mat.sum())
-    if z <= 0.0:
-        raise ImpossibleHistoryError(f"window {h} has probability {z}")
-    return BDMSM(mat / z, h)
+        z = float(mat.sum())
+        if z <= 0.0:
+            raise ImpossibleHistoryError(f"window {h} has probability 0")
+        mat /= z
+    return BDMSM(mat, h)
 
 
 def bdmsm_forward(t: Transducer, rho: BDMSM, action, output) -> BDMSM:
@@ -133,22 +135,13 @@ def bdmsm_reverse_extend(
     return BDMSM(mat / z, window)
 
 
-def _posterior_with_prior(t: Transducer, h: History, prior: np.ndarray) -> np.ndarray:
-    """Unnormalized (current, start-of-window) joint for a window and prior."""
-    a_idx, y_idx = t.word_indices(h)
-    mat = np.diag(prior)
-    for a, y in zip(a_idx, y_idx):
-        mat = t.kernel[a, y] @ mat
-    return mat
-
-
 def smooth(t: Transducer, h: History) -> list[BeliefState]:
     """Posterior over the state at every time 0..t+1 given the whole history.
 
-    Slice tau comes from a fresh window posterior over the history's suffix
-    from tau, seeded with the forward-filtered belief at tau as its diagonal
-    prior; its start-state marginal is exactly Pr(state at tau | whole
-    history).
+    Slice tau is the forward-filtered belief at tau times the likelihood of
+    the history's suffix from tau given each state, normalized.  Both passes
+    are renormalized at every step (Rabiner 1989, section V.A), so no product
+    underflows on long histories and the cost is linear in the length.
     """
     a_idx, y_idx = t.word_indices(h)
     forward = [t.initial / t.initial.sum()]
@@ -159,12 +152,14 @@ def smooth(t: Transducer, h: History) -> list[BeliefState]:
             raise ImpossibleHistoryError(f"history {h} has probability 0")
         forward.append(raw / z)
 
-    slices: list[BeliefState] = []
-    for tau in range(len(h) + 1):
-        suffix = History(h.actions[tau:], h.outputs[tau:])
-        mat = _posterior_with_prior(t, suffix, forward[tau])
-        z = float(mat.sum())
+    slices = [BeliefState(forward[-1])]
+    back = np.ones(t.n)
+    for tau in range(len(h) - 1, -1, -1):
+        back = back @ t.kernel[a_idx[tau], y_idx[tau]]
+        post = forward[tau] * back
+        z = float(post.sum())
         if z <= 0.0:
             raise ImpossibleHistoryError(f"history {h} has probability 0")
-        slices.append(BeliefState(mat.sum(axis=0) / z))
-    return slices
+        back /= back.sum()
+        slices.append(BeliefState(post / z))
+    return slices[::-1]

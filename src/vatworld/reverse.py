@@ -26,6 +26,7 @@ from .core import (
     WeightedPolicy,
 )
 from .errors import StructureError, VatworldError
+from .oracle import _history, _word_levels
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,13 @@ class MarginalTable:
         return cond, p_action
 
 
-def state_marginals(
-    t: Transducer, policy: Policy, horizon: int, force: bool = False
-) -> MarginalTable:
+def state_marginals(t: Transducer, policy: Policy, horizon: int) -> MarginalTable:
     """Exact per-time joint of (state, action) by enumerating histories.
 
     Policies that ignore the history collapse to a single state-vector
-    recursion; history-dependent policies enumerate the joint (history,
-    state) law, which is what the word budget guards.
+    recursion; history-dependent policies walk every history with positive
+    weight, carrying the product of the policy's action probabilities along
+    it, and that walk is what the word budget guards.
     """
     n = t.n
     n_actions, n_outputs = len(t.actions), len(t.outputs)
@@ -73,24 +73,21 @@ def state_marginals(
             m = sum(adist[a] * (tr[a] @ m) for a in range(n_actions))
         return MarginalTable(joint, horizon, policy.describe())
 
-    budget.check(float(n_actions * n_outputs) ** horizon, force, "marginal enumeration")
-    level: dict[History, np.ndarray] = {History.empty(): t.initial.copy()}
-    for tau in range(horizon + 1):
-        nxt: dict[History, np.ndarray] = {}
-        for h, vec in level.items():
-            adist = policy.action_dist(h, n_actions)
-            joint[tau] += np.outer(vec, adist)
-            if tau == horizon:
-                continue
-            for a in range(n_actions):
-                if adist[a] == 0.0:
-                    continue
-                for y in range(n_outputs):
-                    child = (t.kernel[a, y] @ vec) * adist[a]
-                    if child.sum() > 0.0:
-                        key = h.extended(t.actions.symbols[a], t.outputs.symbols[y])
-                        nxt[key] = nxt.get(key, 0.0) + child
-        level = nxt
+    # weight[r]: policy probability of row r's actions; live rows are the
+    # histories with positive weighted mass, the only ones extended.
+    weight = np.ones(1)
+    live = np.ones(1, dtype=bool)
+    levels = _word_levels(
+        [t.initial], t.kernel, horizon, "marginal enumeration", lambda words, vecs: live
+    )
+    for tau, (parent, words, vecs) in enumerate(levels):
+        if tau:
+            weight = weight[parent] * adists[parent, words[:, -1] // n_outputs]
+            live = (weight > 0.0) & (vecs.sum(axis=1) > 0.0)
+        adists = np.zeros((len(live), n_actions))
+        for r in np.flatnonzero(live):
+            adists[r] = policy.action_dist(_history(t, words[r]), n_actions)
+        joint[tau] = (vecs * weight[:, None]).T @ adists
     return MarginalTable(joint, horizon, policy.describe())
 
 
@@ -146,7 +143,6 @@ def check_reversible(
     policy: Optional[Policy] = None,
     horizon: int = 4,
     tol: float = DEFAULT_TOL,
-    force: bool = False,
     use_fast_paths: bool = True,
 ) -> ReversibilityVerdict:
     """Can the state chain be reversed using only (next state, current action)?
@@ -167,46 +163,34 @@ def check_reversible(
             return ReversibilityVerdict(True, "action-agnostic", horizon)
         if is_action_counifilar(t, tol):
             return ReversibilityVerdict(True, "action-counifilar", horizon)
-    n_actions = len(t.actions)
-    budget.check(float(n_actions) ** (horizon + 1) * t.n, force, "reversibility check")
     tr = t.transition_marginals()
-
-    for tau in range(horizon):
-        # reference[(a_tau, next_state)] -> (conditional, prefix that set it)
-        reference: dict[tuple[int, int], tuple[np.ndarray, tuple[int, ...]]] = {}
-        prefixes: list[tuple[tuple[int, ...], np.ndarray]] = [((), t.initial.copy())]
-        for _ in range(tau):
-            prefixes = [
-                (pref + (a,), tr[a] @ m) for pref, m in prefixes for a in range(n_actions)
-            ]
-        for pref, m in prefixes:
-            for a in range(n_actions):
-                joint = tr[a] * m[None, :]  # [next, prev]
-                totals = joint.sum(axis=1)
-                for i in range(t.n):
-                    if totals[i] <= 1e-12:
-                        continue
-                    cond = joint[i] / totals[i]
-                    key = (a, i)
-                    if key not in reference:
-                        reference[key] = (cond, pref)
-                    else:
-                        ref_cond, ref_pref = reference[key]
-                        diff = float(np.max(np.abs(cond - ref_cond)))
-                        if diff > tol:
-                            return ReversibilityVerdict(
-                                False,
-                                "exhaustive",
-                                horizon,
-                                ReversibilityWitness(
-                                    tau,
-                                    t.actions.symbols[a],
-                                    t.states[i],
-                                    tuple(t.actions.symbols[x] for x in ref_pref),
-                                    tuple(t.actions.symbols[x] for x in pref),
-                                    diff,
-                                ),
-                            )
+    levels = _word_levels([t.initial], tr, horizon - 1, "reversibility check")
+    for tau, (_, prefixes, m) in enumerate(levels):
+        # joint[p, a, next, prev] for action prefix p then action a
+        joint = tr[None] * m[:, None, None, :]
+        totals = joint.sum(axis=3)
+        seen = totals > 1e-12
+        cond = joint / np.where(seen, totals, 1.0)[..., None]
+        # the first prefix reaching (a, next) sets the reference the others must match
+        first = seen.argmax(axis=0)
+        ref = np.take_along_axis(cond, first[None, :, :, None], axis=0)
+        diff = np.abs(cond - ref).max(axis=3)
+        bad = np.argwhere(seen & (diff > tol))
+        if len(bad):
+            p, a, i = bad[0]
+            return ReversibilityVerdict(
+                False,
+                "exhaustive",
+                horizon,
+                ReversibilityWitness(
+                    tau,
+                    t.actions.symbols[a],
+                    t.states[i],
+                    tuple(t.actions.symbols[x] for x in prefixes[first[a, i]]),
+                    tuple(t.actions.symbols[x] for x in prefixes[p]),
+                    float(diff[p, a, i]),
+                ),
+            )
     return ReversibilityVerdict(True, "exhaustive", horizon)
 
 
@@ -241,7 +225,6 @@ def reverse_kernel(
     horizon: Optional[int] = None,
     tol: float = DEFAULT_TOL,
     marginals: Optional[MarginalTable] = None,
-    force: bool = False,
 ) -> ReverseKernel:
     """Bayes-invert the one-step kernel at time tau under the given policy.
 
@@ -252,7 +235,7 @@ def reverse_kernel(
     """
     if marginals is None:
         need = tau + 1 if horizon is None else max(horizon, tau + 1)
-        marginals = state_marginals(t, policy, need, force)
+        marginals = state_marginals(t, policy, need)
     if marginals.horizon < tau + 1:
         raise StructureError(
             f"marginal table covers horizon {marginals.horizon}, need {tau + 1}"
@@ -294,7 +277,6 @@ def verify_reverse_generates(
     policy: Policy,
     horizon: int = 4,
     tol: float = DEFAULT_TOL,
-    force: bool = False,
 ) -> ReverseCheck:
     """Compare the forward and backward factorizations path by path.
 
@@ -309,10 +291,9 @@ def verify_reverse_generates(
     n_actions, n_outputs = len(t.actions), len(t.outputs)
     budget.check(
         float(n_actions * n_outputs) ** horizon * float(n) ** (horizon + 1),
-        force,
         "reverse factorization check",
     )
-    marginals = state_marginals(t, policy, horizon, force)
+    marginals = state_marginals(t, policy, horizon)
     revs = [
         reverse_kernel(t, policy, tau, marginals=marginals, tol=tol)
         for tau in range(horizon)

@@ -139,7 +139,8 @@ class TestCli:
     def test_validate_good_and_broken(self, machine_files, tmp_path):
         code, _ = run(["validate", machine_files["parity-flip"]])
         assert code == 0
-        doc = json.loads(open(machine_files["parity-flip"]).read())
+        with open(machine_files["parity-flip"], encoding="utf-8") as fh:
+            doc = json.load(fh)
         doc["kernel"][0]["prob"] = 0.9
         broken = tmp_path / "broken.json"
         broken.write_text(vio.dumps(doc))
@@ -255,7 +256,8 @@ class TestCli:
         assert code == 0
         assert len(report.artifacts) == 3
         for p in report.artifacts:
-            doc = json.loads(open(p).read())
+            with open(p, encoding="utf-8") as fh:
+                doc = json.load(fh)
             assert "kernel" in doc and "defined" in doc and doc["policy"] == "uniform"
 
     def test_smooth_command(self, machine_files, tmp_path):

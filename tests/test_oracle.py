@@ -14,15 +14,26 @@ from vatworld.linalg_reduce import reduce_generalized
 from vatworld.minimize import minimize_bisim
 from vatworld.oracle import (
     InterfaceView,
+    _history,
+    _positive,
+    _word_levels,
     MemoryClass,
     equivalent,
+    forward_vector,
     memory_class,
     next_output_dist,
     sample_trajectory,
     word_probability,
 )
 
-from conftest import all_histories, path_enum_probability, positive_histories, random_transducer
+from conftest import (
+    all_histories,
+    path_enum_probability,
+    positive_histories,
+    random_permutation_machine,
+    random_transducer,
+    random_unifilar,
+)
 
 
 class TestWordProbability:
@@ -162,6 +173,12 @@ class TestEquivalent:
         with pytest.raises(BudgetExceededError):
             memory_class(fix_a, depth=20)
 
+    def test_budget_override_is_the_environment(self, fix_a, monkeypatch):
+        assert memory_class(fix_a, depth=4) is MemoryClass.FULLY_OBSERVABLE
+        monkeypatch.setenv("VATWORLD_BUDGET", "100")  # 4**4 = 256 words
+        with pytest.raises(BudgetExceededError):
+            memory_class(fix_a, depth=4)
+
 
 def _lifted(t, rng):
     """t with each state split into two bisimilar copies: the same interface."""
@@ -224,6 +241,38 @@ class TestEquivalentAgainstBruteForce:
             assert ce.difference > 1e-9
         if kind in ("minimized", "lifted", "reduced"):
             assert equivalent(*pair).equivalent
+
+
+class TestWordLevels:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([random_transducer, random_unifilar, random_permutation_machine]),
+        depth=st.integers(0, 4),
+    )
+    def test_levels_are_every_word_in_order_or_the_positive_histories(self, seed, kind, depth):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (1, 3), (1, 4)))
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        n_letters = n_a * n_y
+        levels = list(_word_levels([t.initial], t.kernel, depth, "test"))
+        assert len(levels) == depth + 1
+        for length, (parent, words, vecs) in enumerate(levels):
+            assert [tuple(w) for w in words] == list(
+                itertools.product(range(n_letters), repeat=length)
+            )
+            assert list(parent) == list(np.arange(n_letters**length) // n_letters)
+            for word, vec in zip(words, vecs):
+                expect = forward_vector(t, _history(t, word))
+                np.testing.assert_allclose(vec, expect, rtol=1e-12, atol=1e-15)
+        walked = [
+            _history(t, word)
+            for _, words, vecs in _word_levels([t.initial], t.kernel, depth, "test", _positive)
+            for word in words[_positive(words, vecs)]
+            if len(word)
+        ]
+        by_words = sorted(walked, key=lambda h: (len(h), h.actions, h.outputs))
+        assert by_words == positive_histories(t, depth)
 
 
 class TestMemoryClass:

@@ -15,6 +15,7 @@ from vatworld.retro import (
     retrodictive_from_bdmsm,
     smooth,
 )
+from vatworld.oracle import sample_trajectory
 from vatworld.reverse import state_marginals
 
 from conftest import path_enum_posterior, positive_histories
@@ -179,6 +180,18 @@ class TestSmooth:
     def test_impossible_history(self, fix_a):
         with pytest.raises(ImpossibleHistoryError):
             smooth(fix_a, History(("0",), ("1",)))
+
+    def test_long_sampled_trace_does_not_underflow(self, fix_c):
+        # the unscaled products fall below the smallest double near 1100 steps
+        actions, outputs, _ = sample_trajectory(fix_c, UNIFORM, 3000, seed=3)
+        h = History(actions, outputs)
+        slices = smooth(fix_c, h)
+        assert len(slices) == 3001
+        for s in slices:
+            assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        rho = bdmsm_from_word(fix_c, h)
+        np.testing.assert_allclose(slices[-1].weights, rho.matrix.sum(axis=1), atol=1e-12)
+        np.testing.assert_allclose(slices[0].weights, rho.matrix.sum(axis=0), atol=1e-12)
 
     def test_smoothing_can_sharpen_the_past(self, fix_c):
         # seeing later outputs changes the posterior over the start state
