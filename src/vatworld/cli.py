@@ -28,7 +28,13 @@ from .errors import (
 from .fixtures import ALL_FIXTURES
 from .linalg_reduce import canonical_dimension, reduce_generalized
 from .minimize import coarsest_bisimulation, quotient
-from .oracle import equivalent, memory_class, sample_trajectory, word_probability
+from .oracle import (
+    equivalent,
+    log_word_probability,
+    memory_class,
+    sample_trajectory,
+    word_probability,
+)
 from .retro import bdmsm_from_word, smooth
 from .reverse import check_reversible, is_action_counifilar, reverse_kernel, state_marginals
 
@@ -237,6 +243,7 @@ def _cmd_prob(args, report: RunReport) -> int:
     h = History(_symbols(args.actions), _symbols(args.outputs))
     report.parameters.update({"actions": args.actions, "outputs": args.outputs})
     report.add("word_probability", float(word_probability(t, h)))
+    report.add("log_probability", log_word_probability(t, h))
     return 0
 
 

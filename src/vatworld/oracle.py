@@ -12,6 +12,8 @@ walk, the only place that charges the global word budget.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Union
@@ -19,10 +21,20 @@ from typing import Optional, Union
 import numpy as np
 
 from . import budget
-from .core import DEFAULT_TOL, GeneralizedTransducer, History, Policy, Transducer
+from .core import (
+    DEFAULT_TOL,
+    GeneralizedTransducer,
+    History,
+    Policy,
+    Transducer,
+    UniformPolicy,
+    WeightedPolicy,
+)
 from .errors import ImpossibleHistoryError, StructureError
 
 Source = Union[Transducer, GeneralizedTransducer]
+
+_CHOICE_ATOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's tolerance on sum(p)
 
 
 def _boundary(t: Source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -144,6 +156,28 @@ def word_probability(t: Source, h: History) -> float:
     return float(final @ forward_vector(t, h))
 
 
+def log_word_probability(t: Source, h: History) -> float:
+    """Natural log of word_probability, finite however long the history.
+
+    One forward pass renormalised at every step (Rabiner 1989, section V.A):
+    each normaliser is the probability of the next output given the history
+    before it, and the log-probability is the sum of their logs.  Returns
+    -inf for an impossible history (a normaliser of zero).
+    """
+    final, kern, start = _boundary(t)
+    a_idx, y_idx = t.word_indices(h)
+    v = np.asarray(start, dtype=float)
+    log_p = 0.0
+    for a, y in zip(a_idx, y_idx):
+        scale = float(final @ v)
+        if scale <= 0.0:
+            return -math.inf
+        log_p += math.log(scale)
+        v = kern[a, y] @ (v / scale)
+    scale = float(final @ v)
+    return log_p + math.log(scale) if scale > 0.0 else -math.inf
+
+
 @dataclass
 class InterfaceView:
     """Memoizing view of a source's word probabilities."""
@@ -176,6 +210,36 @@ def next_output_dist(t: Transducer, past: History, action) -> np.ndarray:
     return dist / p_past
 
 
+def _choice_cdf(p) -> list:
+    """The CDF that ``Generator.choice(len(p), p=p)`` searches, after its checks.
+
+    choice raises ValueError when the Kahan sum of p is NaN, when an entry is
+    negative, or when that sum is off 1 by more than sqrt(eps), in that order;
+    it then searches cumsum(p) / cumsum(p)[-1] with side="right" for one
+    uniform.  The same checks raise the same errors here, and bisect_right on
+    the returned list finds the same index.
+    """
+    p = np.asarray(p, dtype=float)
+    values = p.tolist()
+    total, carry = values[0], 0.0
+    for x in values[1:]:
+        y = x - carry
+        nxt = total + y
+        carry = (nxt - total) - y
+        total = nxt
+    if math.isnan(total):  # also when any entry is NaN
+        raise ValueError("Probabilities contain NaN")
+    if min(values) < 0.0:
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > _CHOICE_ATOL:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring for more information."
+        )
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def sample_trajectory(
     t: Transducer, policy: Policy, length: int, seed: int
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
@@ -183,26 +247,41 @@ def sample_trajectory(
 
     States has one extra entry (the post-run state).  Actions are drawn from
     the policy applied to the realized action-output history so far.
+
+    Time is linear in length under uniform and weighted policies, which ignore
+    the history: one block of 2 * length uniforms drives the action and the
+    (output, next state) draw of every step, and each (action, state) column's
+    CDF is built and checked once, on its first visit.  Other policies still
+    get the history at every step.  Each draw consumes one uniform and picks
+    the index ``Generator.choice`` would, so a seed gives the same trajectory
+    as in earlier versions, and a column that is not a distribution raises the
+    same ValueError at the same step (a column never visited raises nothing).
     """
     rng = np.random.default_rng(seed)
     n = t.n
     n_actions = len(t.actions)
-    n_outputs = len(t.outputs)
     state = int(rng.choice(n, p=t.initial / t.initial.sum()))
+    uniforms = rng.random(2 * max(length, 0)).tolist()
+    fixed = isinstance(policy, (UniformPolicy, WeightedPolicy))
+    if fixed and uniforms:
+        action_cdf = _choice_cdf(policy.action_dist(History.empty(), n_actions))
+    columns: dict[tuple[int, int], list] = {}
     actions: list[str] = []
     outputs: list[str] = []
     states = [t.states[state]]
-    for _ in range(length):
-        h = History(tuple(actions), tuple(outputs))
-        a = int(rng.choice(n_actions, p=policy.action_dist(h, n_actions)))
-        joint = t.kernel[a, :, :, state].reshape(-1)  # flat over (y, next)
-        total = joint.sum()
-        pick = int(rng.choice(joint.size, p=joint / total))
-        y, nxt = divmod(pick, n)
+    for u_action, u_step in zip(uniforms[::2], uniforms[1::2]):
+        if not fixed:
+            h = History(tuple(actions), tuple(outputs))
+            action_cdf = _choice_cdf(policy.action_dist(h, n_actions))
+        a = bisect_right(action_cdf, u_action)
+        cdf = columns.get((a, state))
+        if cdf is None:
+            joint = t.kernel[a, :, :, state].reshape(-1)  # flat over (y, next)
+            cdf = columns[a, state] = _choice_cdf(joint / joint.sum())
+        y, state = divmod(bisect_right(cdf, u_step), n)
         actions.append(t.actions.symbols[a])
         outputs.append(t.outputs.symbols[y])
-        states.append(t.states[nxt])
-        state = nxt
+        states.append(t.states[state])
     return tuple(actions), tuple(outputs), tuple(states)
 
 
@@ -321,7 +400,7 @@ def _is_fully_observable(t: Transducer, depth: int, tol: float) -> bool:
         last = words[rows, -1]
         for x in np.unique(last):
             conds = cond[last == x]
-            ref = reference.setdefault(int(x), conds[0, 0])
+            ref = reference.setdefault(int(x), conds[0])  # [next action, next output]
             if np.any(np.abs(conds - ref) > tol):
                 return False
     return True

@@ -121,6 +121,40 @@ def positive_histories(t: Transducer, max_len: int, cutoff: float = 1e-12):
 
 
 # ---------------------------------------------------------------------------
+# Reference sampler
+# ---------------------------------------------------------------------------
+
+
+def reference_sample_trajectory(t: Transducer, policy, length: int, seed: int):
+    """The sampler as it stood before the linear-time rewrite, kept verbatim.
+
+    It rebuilds the history and calls ``rng.choice`` twice at every step, so
+    it is quadratic in length; ``oracle.sample_trajectory`` must give the same
+    trajectory for every (machine, policy, length, seed).
+    """
+    rng = np.random.default_rng(seed)
+    n = t.n
+    n_actions = len(t.actions)
+    n_outputs = len(t.outputs)
+    state = int(rng.choice(n, p=t.initial / t.initial.sum()))
+    actions: list[str] = []
+    outputs: list[str] = []
+    states = [t.states[state]]
+    for _ in range(length):
+        h = History(tuple(actions), tuple(outputs))
+        a = int(rng.choice(n_actions, p=policy.action_dist(h, n_actions)))
+        joint = t.kernel[a, :, :, state].reshape(-1)  # flat over (y, next)
+        total = joint.sum()
+        pick = int(rng.choice(joint.size, p=joint / total))
+        y, nxt = divmod(pick, n)
+        actions.append(t.actions.symbols[a])
+        outputs.append(t.outputs.symbols[y])
+        states.append(t.states[nxt])
+        state = nxt
+    return tuple(actions), tuple(outputs), tuple(states)
+
+
+# ---------------------------------------------------------------------------
 # Random machine generators
 # ---------------------------------------------------------------------------
 

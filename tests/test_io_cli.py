@@ -164,6 +164,16 @@ class TestCli:
         assert code == 0
         assert report.verdicts[0]["value"] == pytest.approx(0.53)
 
+    def test_prob_reports_the_log_probability_after_it(self, machine_files):
+        code, report = run(
+            ["prob", machine_files["mixture-hmm"], "--actions", "0,0", "--outputs", "1,1"]
+        )
+        assert code == 0
+        names = [v["name"] for v in report.verdicts]
+        assert names == ["word_probability", "log_probability"]
+        p, log_p = (v["value"] for v in report.verdicts)
+        assert log_p == pytest.approx(np.log(p), abs=1e-12)
+
     def test_sample_determinism(self, machine_files):
         argv = ["sample", machine_files["mixture-hmm"], "--length", "20", "--seed", "5"]
         code1, rep1 = run(argv)

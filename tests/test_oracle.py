@@ -20,6 +20,7 @@ from vatworld.oracle import (
     MemoryClass,
     equivalent,
     forward_vector,
+    log_word_probability,
     memory_class,
     next_output_dist,
     sample_trajectory,
@@ -30,9 +31,11 @@ from conftest import (
     all_histories,
     path_enum_probability,
     positive_histories,
+    random_io_moore,
     random_permutation_machine,
     random_transducer,
     random_unifilar,
+    reference_sample_trajectory,
 )
 
 
@@ -67,6 +70,32 @@ class TestWordProbability:
         h = History(("0", "0"), ("1", "0"))
         assert view.probability(h) == view.probability(h)
         assert view.probability(h) == pytest.approx(word_probability(fix_c, h))
+
+
+class TestLogWordProbability:
+    def test_matches_path_enumeration_on_sampled_traces(self, fix_a, fix_b, fix_c, fix_d):
+        rng = np.random.default_rng(8)
+        machines = [fix_a, fix_b, fix_c, fix_d] + [
+            kind(rng, n=3, n_actions=2, n_outputs=3)
+            for kind in (random_transducer, random_unifilar, random_io_moore)
+        ]
+        for t in machines:
+            for length in (0, 1, 4, 9):
+                acts, outs, _ = sample_trajectory(t, Policy.uniform(), length, seed=length)
+                h = History(acts, outs)
+                expect = np.log(path_enum_probability(t, h))
+                assert log_word_probability(t, h) == pytest.approx(expect, abs=1e-9)
+
+    def test_impossible_history_is_minus_infinity(self, fix_a):
+        assert log_word_probability(fix_a, History(("0",), ("1",))) == -np.inf
+        assert log_word_probability(fix_a, History(("0", "0"), ("1", "0"))) == -np.inf
+
+    def test_finite_where_the_probability_underflows(self, fix_c):
+        actions, outputs, _ = sample_trajectory(fix_c, Policy.uniform(), 3000, seed=3)
+        h = History(actions, outputs)
+        assert word_probability(fix_c, h) == 0.0
+        log_p = log_word_probability(fix_c, h)
+        assert np.isfinite(log_p) and log_p < np.log(np.finfo(float).tiny)
 
 
 class TestNextOutputDist:
@@ -112,6 +141,54 @@ class TestSampleTrajectory:
         one = sample_trajectory(fix_c, Policy.uniform(), 15, seed=11)
         two = sample_trajectory(fix_c, Policy.uniform(), 15, seed=11)
         assert one == two
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([random_transducer, random_unifilar, random_io_moore]),
+        policy_kind=st.sampled_from(["uniform", "weighted", "table"]),
+        length=st.integers(0, 60),
+    )
+    def test_same_trajectory_as_the_reference(self, seed, kind, policy_kind, length):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((1, 5), (1, 4), (1, 4)))
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        if policy_kind == "uniform":
+            policy = Policy.uniform()
+        elif policy_kind == "weighted":
+            policy = Policy.weighted(rng.dirichlet(np.ones(n_a)))
+        else:
+            # keyed by prefixes of a trajectory the sampler may well retrace
+            acts, outs, _ = reference_sample_trajectory(t, Policy.uniform(), 8, seed)
+            table = {
+                History(acts[:k], outs[:k]): rng.dirichlet(np.ones(n_a)) for k in range(0, 9, 2)
+            }
+            policy = Policy.from_table(table)
+        expect = reference_sample_trajectory(t, policy, length, seed)
+        assert sample_trajectory(t, policy, length, seed) == expect
+
+    @pytest.mark.parametrize("bad_column", [[0.0, 0.0, 0.0, 0.0], [0.0, 1.5, 0.0, -0.5]])
+    def test_bad_column_raises_as_the_reference_does(self, bad_column):
+        def machine(leave):
+            """State 0 emits either output and moves to state 1 with probability leave."""
+            kernel = np.zeros((1, 2, 2, 2))
+            kernel[0, :, 0, 0] = 0.5 * (1.0 - leave)
+            kernel[0, :, 1, 0] = 0.5 * leave
+            kernel[0, :, :, 1] = np.reshape(bad_column, (2, 2))
+            return Transducer("bad", ["s0", "s1"], ["0"], ["0", "1"], kernel, [1.0, 0.0])
+
+        reachable, unreached = machine(1.0), machine(0.0)
+        errors = []
+        with np.errstate(invalid="ignore"):  # the zero column divides 0 by 0
+            for sampler in (sample_trajectory, reference_sample_trajectory):
+                assert len(sampler(reachable, Policy.uniform(), 1, 4)[0]) == 1
+                with pytest.raises(ValueError) as raised:
+                    sampler(reachable, Policy.uniform(), 2, 4)
+                errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert sample_trajectory(unreached, Policy.uniform(), 20, 4) == (
+            reference_sample_trajectory(unreached, Policy.uniform(), 20, 4)
+        )
 
     def test_mixture_first_output_frequency(self, fix_c):
         n = 10_000
@@ -301,6 +378,14 @@ class TestMemoryClass:
 
     def test_mixture_is_general(self, fix_c):
         assert memory_class(fix_c, depth=4) is MemoryClass.GENERAL
+
+    def test_last_output_pins_the_law_of_every_next_action(self):
+        # the state is the last output; the next output is action XOR state w.p. 0.9
+        kern = np.zeros((2, 2, 2, 2))
+        for a, y, j in itertools.product(range(2), repeat=3):
+            kern[a, y, y, j] = 0.9 if y == a ^ j else 0.1
+        t = Transducer("xor-last", ["s0", "s1"], ["0", "1"], ["0", "1"], kern, [0.5, 0.5])
+        assert memory_class(t, depth=4) is MemoryClass.FULLY_OBSERVABLE
 
     def test_hidden_split_is_still_observable_through_outputs(self, fix_b):
         # the split states emit identically, so histories still pin the output law
