@@ -359,7 +359,7 @@ def _cmd_epsilon(args, report: RunReport) -> int:
 def _cmd_reverse(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
     policy = _parse_policy(args.policy)
-    verdict = check_reversible(t, policy, args.horizon, args.tol)
+    verdict = check_reversible(t, args.horizon, args.tol)
     report.parameters.update(
         {"policy": policy.describe(), "horizon": args.horizon, "tol": args.tol}
     )

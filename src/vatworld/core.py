@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -238,14 +239,38 @@ class Policy:
 
     The library never assumes a default statistical law for actions; whenever
     a result depends on how actions are drawn, the policy used is an explicit
-    argument and is stamped into the output.
+    argument and is stamped into the output.  A policy looks the history up in
+    its table (empty for uniform and weighted policies) and draws from its
+    fallback law everywhere else, so only the prefixes of its keys can make
+    the action law depend on the history.
     """
 
+    table: Mapping[History, np.ndarray] = MappingProxyType({})
+
     def action_dist(self, history: History, n_actions: int) -> np.ndarray:
+        dist = self.table.get(history)
+        if dist is None:
+            return self.fallback(n_actions)
+        if dist.size != n_actions:
+            raise StructureError("table entry has the wrong number of actions")
+        return dist
+
+    def fallback(self, n_actions: int) -> np.ndarray:
+        """The action law for every history that is not a table key."""
         raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
+
+    def key_prefixes(self) -> frozenset:
+        """Every prefix of a table key, the keys included.
+
+        No extension of a history outside this set is a key, so from there on
+        every action is drawn from the fallback law.
+        """
+        return frozenset(
+            History(h.actions[:k], h.outputs[:k]) for h in self.table for k in range(len(h) + 1)
+        )
 
     @staticmethod
     def uniform() -> "UniformPolicy":
@@ -263,7 +288,7 @@ class Policy:
 class UniformPolicy(Policy):
     """Independent uniformly random actions at every step."""
 
-    def action_dist(self, history: History, n_actions: int) -> np.ndarray:
+    def fallback(self, n_actions: int) -> np.ndarray:
         return np.full(n_actions, 1.0 / n_actions)
 
     def describe(self) -> str:
@@ -284,7 +309,7 @@ class WeightedPolicy(Policy):
             raise StructureError("weights must be a probability distribution")
         self.weights = _frozen_array(w)
 
-    def action_dist(self, history: History, n_actions: int) -> np.ndarray:
+    def fallback(self, n_actions: int) -> np.ndarray:
         if n_actions != self.weights.size:
             raise StructureError(
                 f"policy has {self.weights.size} action weights but the machine has {n_actions}"
@@ -312,13 +337,8 @@ class HistoryTablePolicy(Policy):
             checked[h] = _frozen_array(arr)
         self.table = checked
 
-    def action_dist(self, history: History, n_actions: int) -> np.ndarray:
-        dist = self.table.get(history)
-        if dist is None:
-            return np.full(n_actions, 1.0 / n_actions)
-        if dist.size != n_actions:
-            raise StructureError("table entry has the wrong number of actions")
-        return dist
+    def fallback(self, n_actions: int) -> np.ndarray:
+        return np.full(n_actions, 1.0 / n_actions)
 
     def describe(self) -> str:
         return f"table:{len(self.table)} entries, uniform fallback"

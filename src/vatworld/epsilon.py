@@ -102,6 +102,8 @@ def epsilon_from_histories(
     """
     if hist_depth < 1:
         raise StructureError("hist_depth must be at least 1")
+    if future_depth < 0:
+        raise StructureError("future_depth must be at least 0")
 
     # Positive-probability histories by length, with their forward vectors.
     histories: list[History] = []

@@ -5,16 +5,17 @@ reliance on any reduced or derived presentation, so the rest of the library
 can be checked against them.  Questions about all words at once (interface
 equivalence here, the history-vector span in ``linalg_reduce``) go through
 one basis-pruned span walk, which visits at most dim * |A| * |Y| words.
-Questions bounded by a word length (the memory-class diagnosis here, and the
-depth- or horizon-bounded checks elsewhere) go through one level-batched word
-walk, the only place that charges the global word budget.
+The span's growth test is shared with the level-span reversibility verdict
+in ``reverse``.  Questions bounded by a word length (the memory-class
+diagnosis here, and the depth-bounded checks elsewhere) go through one
+level-batched word walk, the only place that charges the global word budget.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -27,8 +28,6 @@ from .core import (
     History,
     Policy,
     Transducer,
-    UniformPolicy,
-    WeightedPolicy,
 )
 from .errors import ImpossibleHistoryError, StructureError
 
@@ -42,6 +41,33 @@ def _boundary(t: Source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if isinstance(t, Transducer):
         return np.ones(t.n), t.kernel, t.initial
     return t.u, t.matrices, t.v
+
+
+def _span_grower(dims: int, floor: float):
+    """A span that grows one vector at a time, starting empty.
+
+    The returned grow(vec) takes vec's two-pass Gram-Schmidt residual against
+    the span; when its norm is above floor (and the span is not yet the whole
+    space), it adds the unit residual to the span and returns it, else it
+    returns None.
+    """
+    basis = np.empty((dims, dims))
+    rank = 0
+
+    def grow(vec: np.ndarray) -> Optional[np.ndarray]:
+        nonlocal rank
+        res = vec
+        for _ in range(2):
+            q = basis[:rank]
+            res = res - (q @ res) @ q
+        norm = float(np.linalg.norm(res))
+        if rank == dims or norm <= floor:
+            return None
+        basis[rank] = res / norm
+        rank += 1
+        return basis[rank - 1]
+
+    return grow
 
 
 def _span_walk(start: np.ndarray, mats: np.ndarray, tol: float, max_len: Optional[int] = None):
@@ -58,23 +84,7 @@ def _span_walk(start: np.ndarray, mats: np.ndarray, tol: float, max_len: Optiona
     """
     n_outputs, dims = mats.shape[1], mats.shape[2]
     flat = mats.reshape(-1, dims, dims)
-    basis = np.empty((dims, dims))
-    floor = tol * float(np.linalg.norm(start))
-    rank = 0
-
-    def grow(vec: np.ndarray) -> Optional[np.ndarray]:
-        nonlocal rank
-        res = vec
-        for _ in range(2):
-            q = basis[:rank]
-            res = res - (q @ res) @ q
-        norm = float(np.linalg.norm(res))
-        if rank == dims or norm <= floor:
-            return None
-        basis[rank] = res / norm
-        rank += 1
-        return basis[rank - 1]
-
+    grow = _span_grower(dims, tol * float(np.linalg.norm(start)))
     vec = np.asarray(start, dtype=float)
     direction = grow(vec)
     yield (), vec, direction
@@ -178,21 +188,6 @@ def log_word_probability(t: Source, h: History) -> float:
     return log_p + math.log(scale) if scale > 0.0 else -math.inf
 
 
-@dataclass
-class InterfaceView:
-    """Memoizing view of a source's word probabilities."""
-
-    source: Source
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def probability(self, h: History) -> float:
-        hit = self._cache.get(h)
-        if hit is None:
-            hit = word_probability(self.source, h)
-            self._cache[h] = hit
-        return hit
-
-
 def next_output_dist(t: Transducer, past: History, action) -> np.ndarray:
     """Conditional distribution of the next output after a given history.
 
@@ -248,31 +243,37 @@ def sample_trajectory(
     States has one extra entry (the post-run state).  Actions are drawn from
     the policy applied to the realized action-output history so far.
 
-    Time is linear in length under uniform and weighted policies, which ignore
-    the history: one block of 2 * length uniforms drives the action and the
-    (output, next state) draw of every step, and each (action, state) column's
-    CDF is built and checked once, on its first visit.  Other policies still
-    get the history at every step.  Each draw consumes one uniform and picks
-    the index ``Generator.choice`` would, so a seed gives the same trajectory
-    as in earlier versions, and a column that is not a distribution raises the
-    same ValueError at the same step (a column never visited raises nothing).
+    Time is linear in length: one block of 2 * length uniforms drives the
+    action and the (output, next state) draw of every step, and each (action,
+    state) column's CDF is built and checked once, on its first visit.  The
+    history is built only while it is still a prefix of a policy table key;
+    from the first step off those prefixes, every action is drawn from the
+    policy's fallback law, whose CDF is built once.  Each draw consumes one
+    uniform and picks the index ``Generator.choice`` would, so a seed gives
+    the same trajectory as in earlier versions, and a column that is not a
+    distribution raises the same ValueError at the same step (a column never
+    visited raises nothing).
     """
     rng = np.random.default_rng(seed)
     n = t.n
     n_actions = len(t.actions)
     state = int(rng.choice(n, p=t.initial / t.initial.sum()))
     uniforms = rng.random(2 * max(length, 0)).tolist()
-    fixed = isinstance(policy, (UniformPolicy, WeightedPolicy))
-    if fixed and uniforms:
-        action_cdf = _choice_cdf(policy.action_dist(History.empty(), n_actions))
+    prefixes = policy.key_prefixes()
+    action_cdf = None
     columns: dict[tuple[int, int], list] = {}
     actions: list[str] = []
     outputs: list[str] = []
     states = [t.states[state]]
     for u_action, u_step in zip(uniforms[::2], uniforms[1::2]):
-        if not fixed:
+        if prefixes:
             h = History(tuple(actions), tuple(outputs))
-            action_cdf = _choice_cdf(policy.action_dist(h, n_actions))
+            if h in prefixes:
+                action_cdf = _choice_cdf(policy.action_dist(h, n_actions))
+            else:  # no later history is a key either
+                prefixes, action_cdf = frozenset(), None
+        if action_cdf is None:
+            action_cdf = _choice_cdf(policy.fallback(n_actions))
         a = bisect_right(action_cdf, u_action)
         cdf = columns.get((a, state))
         if cdf is None:
@@ -326,6 +327,8 @@ def equivalent(
         raise StructureError("sources must share action and output alphabets")
     if depth is None:
         depth = t1.n + t2.n
+    if depth < 0:
+        raise StructureError(f"depth must be at least 0, got {depth}")
     final1, kern1, start1 = _boundary(t1)
     final2, kern2, start2 = _boundary(t2)
     n1 = len(start1)
@@ -407,7 +410,13 @@ def _is_fully_observable(t: Transducer, depth: int, tol: float) -> bool:
 
 
 def memory_class(t: Transducer, depth: int = 6, tol: float = DEFAULT_TOL) -> MemoryClass:
-    """Diagnose the interface's memory structure up to a word-length bound."""
+    """Diagnose the interface's memory structure up to a word-length bound.
+
+    The bound must be at least 1: no word of length 0 can show a dependence,
+    so depth 0 would call every machine memoryless.
+    """
+    if depth < 1:
+        raise StructureError(f"depth must be at least 1, got {depth}")
     if _is_memoryless(t, depth, tol):
         return MemoryClass.MEMORYLESS
     if _is_fully_observable(t, depth, tol):

@@ -3,10 +3,17 @@ backward kernel.
 
 A machine can be run in reverse exactly when, given the next state and the
 current action, the previous state carries no further information about any
-other action.  That condition is a property of the machine alone (it
-quantifies over exogenous action sequences); the backward kernel itself,
-however, needs per-time state marginals, which only exist under an explicit
-action law.  Every artifact here is therefore stamped with the policy used.
+other action (Ellison, Mahoney & Crutchfield 2009).  That condition is a
+property of the machine alone (it quantifies over exogenous action
+sequences); the backward kernel itself, however, needs per-time state
+marginals, which only exist under an explicit action law.  Every artifact
+here is therefore stamped with the policy used.
+
+Neither question enumerates histories.  The verdict compares, at each time,
+only the action prefixes whose state marginals grow that time's span, which
+never exceeds n dimensions (Tzeng 1992).  The marginals under a policy track
+one vector per prefix of a policy-table key and pool every other history
+into one vector that evolves under the policy's fallback law.
 """
 
 from __future__ import annotations
@@ -16,17 +23,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import budget
-from .core import (
-    DEFAULT_TOL,
-    History,
-    Policy,
-    Transducer,
-    UniformPolicy,
-    WeightedPolicy,
-)
+from .core import DEFAULT_TOL, History, Policy, Transducer
 from .errors import StructureError, VatworldError
-from .oracle import _history, _word_levels
+from .oracle import _span_grower
 
 
 @dataclass(frozen=True)
@@ -54,40 +53,45 @@ class MarginalTable:
 
 
 def state_marginals(t: Transducer, policy: Policy, horizon: int) -> MarginalTable:
-    """Exact per-time joint of (state, action) by enumerating histories.
+    """Exact per-time joint of (state, action) under a policy.
 
-    Policies that ignore the history collapse to a single state-vector
-    recursion; history-dependent policies walk every history with positive
-    weight, carrying the product of the policy's action probabilities along
-    it, and that walk is what the word budget guards.
+    A policy's action law depends on the history only at the prefixes of its
+    table keys.  The recursion keeps one forward vector for each such prefix
+    of positive mass, weighted by the policy probability of its actions, and
+    pools every other history into one state vector that evolves under the
+    fallback law; a history that leaves the key prefixes moves its vector into
+    the pool.  The table is consulted for the tracked histories only.  With an
+    empty table (uniform and weighted policies) the pool is the whole
+    recursion, and the cost is linear in the horizon and in the number of key
+    prefixes.
     """
-    n = t.n
+    if horizon < 0:
+        raise StructureError(f"horizon must be at least 0, got {horizon}")
     n_actions, n_outputs = len(t.actions), len(t.outputs)
-    joint = np.zeros((horizon + 1, n, n_actions))
+    joint = np.zeros((horizon + 1, t.n, n_actions))
     tr = t.transition_marginals()
-    if isinstance(policy, (UniformPolicy, WeightedPolicy)):
-        adist = policy.action_dist(History.empty(), n_actions)
-        m = t.initial.copy()
-        for tau in range(horizon + 1):
-            joint[tau] = np.outer(m, adist)
-            m = sum(adist[a] * (tr[a] @ m) for a in range(n_actions))
-        return MarginalTable(joint, horizon, policy.describe())
-
-    # weight[r]: policy probability of row r's actions; live rows are the
-    # histories with positive weighted mass, the only ones extended.
-    weight = np.ones(1)
-    live = np.ones(1, dtype=bool)
-    levels = _word_levels(
-        [t.initial], t.kernel, horizon, "marginal enumeration", lambda words, vecs: live
-    )
-    for tau, (parent, words, vecs) in enumerate(levels):
-        if tau:
-            weight = weight[parent] * adists[parent, words[:, -1] // n_outputs]
-            live = (weight > 0.0) & (vecs.sum(axis=1) > 0.0)
-        adists = np.zeros((len(live), n_actions))
-        for r in np.flatnonzero(live):
-            adists[r] = policy.action_dist(_history(t, words[r]), n_actions)
-        joint[tau] = (vecs * weight[:, None]).T @ adists
+    fallback = policy.fallback(n_actions)
+    prefixes = policy.key_prefixes()
+    tracked = {History.empty(): t.initial} if prefixes else {}
+    m = np.zeros(t.n) if prefixes else t.initial.copy()
+    for tau in range(horizon + 1):
+        joint[tau] = np.outer(m, fallback)
+        m = sum(fallback[a] * (tr[a] @ m) for a in range(n_actions))
+        grown = {}
+        for h, v in tracked.items():
+            adist = policy.action_dist(h, n_actions)
+            joint[tau] += np.outer(v, adist)
+            for a in range(n_actions):
+                for y in range(n_outputs):
+                    child = adist[a] * (t.kernel[a, y] @ v)
+                    if child.sum() <= 0.0:
+                        continue
+                    longer = h.extended(t.actions.symbols[a], t.outputs.symbols[y])
+                    if longer in prefixes:
+                        grown[longer] = child
+                    else:
+                        m = m + child
+        tracked = grown
     return MarginalTable(joint, horizon, policy.describe())
 
 
@@ -139,33 +143,53 @@ def _is_action_agnostic(t: Transducer, tol: float) -> bool:
 
 
 def check_reversible(
-    t: Transducer,
-    policy: Optional[Policy] = None,
-    horizon: int = 4,
-    tol: float = DEFAULT_TOL,
-    use_fast_paths: bool = True,
+    t: Transducer, horizon: int = 4, tol: float = DEFAULT_TOL
 ) -> ReversibilityVerdict:
     """Can the state chain be reversed using only (next state, current action)?
 
-    The test conditions on exogenous action sequences, so the policy argument
-    plays no role in the verdict; it is accepted for interface symmetry with
-    the kernel constructor.  Structural fast paths (single state, identical
-    kernels across actions, unique predecessor per action) decide without
-    enumeration; otherwise, for every time and every action prefix, the
-    previous-state conditionals are compared across prefixes sharing the
-    final action.
+    The test conditions on exogenous action sequences, so no policy plays a
+    role.  Structural fast paths (single state, identical kernels across
+    actions, unique predecessor per action) decide without a walk.  Otherwise,
+    at every time tau < horizon, the previous-state conditionals given
+    (action a, next state i) are compared across action prefixes: the first
+    prefix reaching (a, i) sets the reference, and a later one that differs
+    from it by more than tol is the witness.
+
+    Only the prefixes whose state marginals grow their time's span are
+    compared.  Level tau + 1 holds the level-tau prefixes kept, each extended
+    by every action, in alphabet order, and a prefix is kept when its two-pass
+    Gram-Schmidt residual against the marginals kept before it exceeds
+    tol * |initial|.  So a level holds at most n prefixes and the cost is
+    O(horizon * |A| * n^3).  A dropped prefix's marginal is a combination of
+    earlier kept ones, and its image under diag(tr[a][i, :]) a combination of
+    theirs, so in exact arithmetic the verdict and the witness are those of
+    comparing every prefix.  In floating point, write a prefix's marginal as
+    m = sum_q c_q m_q + r over the kept marginals m_q of its level, r the
+    residual (|r| <= tol * |initial| when the prefix's own parent was kept).
+    When every kept prefix is within tol of the reference for (a, i), the
+    prefix's conditional is within (tol * sum_q |c_q| s_q + 2 |r|_1) / s of
+    it, where s_q and s are the masses the prefixes put on (a, i): tol itself
+    when the combination is non-negative and r = 0.
     """
-    del policy
-    if use_fast_paths:
-        if t.n == 1:
-            return ReversibilityVerdict(True, "single-state", horizon)
-        if _is_action_agnostic(t, tol):
-            return ReversibilityVerdict(True, "action-agnostic", horizon)
-        if is_action_counifilar(t, tol):
-            return ReversibilityVerdict(True, "action-counifilar", horizon)
+    if horizon < 0:
+        raise StructureError(f"horizon must be at least 0, got {horizon}")
+    if t.n == 1:
+        return ReversibilityVerdict(True, "single-state", horizon)
+    if _is_action_agnostic(t, tol):
+        return ReversibilityVerdict(True, "action-agnostic", horizon)
+    if is_action_counifilar(t, tol):
+        return ReversibilityVerdict(True, "action-counifilar", horizon)
     tr = t.transition_marginals()
-    levels = _word_levels([t.initial], tr, horizon - 1, "reversibility check")
-    for tau, (_, prefixes, m) in enumerate(levels):
+    step = tr.reshape(-1, t.n).T  # row vector @ step = the marginal after each action
+    floor = tol * float(np.linalg.norm(t.initial))
+    prefixes, m = [()], t.initial[None, :]
+    for tau in range(horizon):
+        if tau:
+            words = [p + (a,) for p in prefixes for a in range(len(t.actions))]
+            vecs = (m @ step).reshape(-1, t.n)
+            grow = _span_grower(t.n, floor)
+            kept = [r for r, vec in enumerate(vecs) if grow(vec) is not None]
+            prefixes, m = [words[r] for r in kept], vecs[kept]
         # joint[p, a, next, prev] for action prefix p then action a
         joint = tr[None] * m[:, None, None, :]
         totals = joint.sum(axis=3)
@@ -180,7 +204,7 @@ def check_reversible(
             p, a, i = bad[0]
             return ReversibilityVerdict(
                 False,
-                "exhaustive",
+                "level-span",
                 horizon,
                 ReversibilityWitness(
                     tau,
@@ -191,7 +215,7 @@ def check_reversible(
                     float(diff[p, a, i]),
                 ),
             )
-    return ReversibilityVerdict(True, "exhaustive", horizon)
+    return ReversibilityVerdict(True, "level-span", horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -260,95 +284,3 @@ def reverse_kernel(
             f"no (action, next state) column is reachable at time {tau} under this policy"
         )
     return ReverseKernel(matrices, mask, tau, marginals.policy)
-
-
-@dataclass(frozen=True)
-class ReverseCheck:
-    ok: bool
-    max_deviation: float
-    witness: Optional[dict] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_reverse_generates(
-    t: Transducer,
-    policy: Policy,
-    horizon: int = 4,
-    tol: float = DEFAULT_TOL,
-) -> ReverseCheck:
-    """Compare the forward and backward factorizations path by path.
-
-    For every action word up to the horizon and every (state path, output
-    word), the forward product (initial mass times forward kernel steps) must
-    match the backward product (final state marginal under those actions
-    times backward kernel steps).  Reverse-kernel columns the policy never
-    reaches contribute zero weight; a path with forward mass through such a
-    column is itself a violation.
-    """
-    n = t.n
-    n_actions, n_outputs = len(t.actions), len(t.outputs)
-    budget.check(
-        float(n_actions * n_outputs) ** horizon * float(n) ** (horizon + 1),
-        "reverse factorization check",
-    )
-    marginals = state_marginals(t, policy, horizon)
-    revs = [
-        reverse_kernel(t, policy, tau, marginals=marginals, tol=tol)
-        for tau in range(horizon)
-    ]
-    tr = t.transition_marginals()
-    max_dev = 0.0
-    witness: Optional[dict] = None
-
-    def walk(a_word: tuple[int, ...], length: int):
-        """Enumerate paths for one action word and compare both products."""
-        nonlocal max_dev, witness
-        # final state marginal under this exogenous action word
-        m_end = t.initial.copy()
-        for a in a_word:
-            m_end = tr[a] @ m_end
-
-        def paths(step: int, state: int, fwd: float, rev: float, ys: tuple, ss: tuple):
-            nonlocal max_dev, witness
-            if step == length:
-                total_rev = rev * m_end[state]
-                dev = abs(fwd - total_rev)
-                if dev > max_dev:
-                    max_dev = dev
-                    if dev > tol and witness is None:
-                        witness = {
-                            "actions": tuple(t.actions.symbols[a] for a in a_word),
-                            "outputs": tuple(t.outputs.symbols[y] for y in ys),
-                            "states": tuple(t.states[s] for s in ss),
-                            "forward": fwd,
-                            "reverse": total_rev,
-                        }
-                return
-            a = a_word[step]
-            for y in range(n_outputs):
-                for nxt in range(n):
-                    f2 = fwd * t.kernel[a, y, nxt, state]
-                    if revs[step].defined_mask[a, nxt]:
-                        r2 = rev * revs[step].matrices[a, y, state, nxt]
-                    else:
-                        r2 = 0.0
-                    if f2 == 0.0 and r2 == 0.0:
-                        continue
-                    paths(step + 1, nxt, f2, r2, ys + (y,), ss + (nxt,))
-
-        for s0 in range(n):
-            if t.initial[s0] > 0.0:
-                paths(0, s0, t.initial[s0], 1.0, (), (s0,))
-
-    stack = [()]
-    while stack:
-        word = stack.pop()
-        if len(word) > 0:
-            walk(word, len(word))
-        if len(word) < horizon:
-            for a in range(n_actions):
-                stack.append(word + (a,))
-    first_witness = witness if max_dev > tol else None
-    return ReverseCheck(bool(max_dev <= tol), float(max_dev), first_witness)

@@ -6,12 +6,22 @@ state paths, so library results are checked against a second route.
 """
 
 import itertools
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from vatworld.core import Alphabet, History, Transducer
 from vatworld.fixtures import delay_channel, mixture_hmm, parity_flip, parity_flip_redundant
+from vatworld.oracle import _history, _word_levels
+from vatworld.reverse import (
+    MarginalTable,
+    ReversibilityVerdict,
+    ReversibilityWitness,
+    reverse_kernel,
+    state_marginals,
+)
 
 
 @pytest.fixture
@@ -118,6 +128,172 @@ def positive_histories(t: Transducer, max_len: int, cutoff: float = 1e-12):
             if path_enum_probability(t, h) > cutoff:
                 out.append(h)
     return out
+
+
+@dataclass(frozen=True)
+class ReverseCheck:
+    ok: bool
+    max_deviation: float
+    witness: Optional[dict] = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def path_enum_reverse_generates(t: Transducer, policy, horizon: int = 4, tol: float = 1e-9):
+    """Compare the forward and backward factorizations path by path.
+
+    For every action word up to the horizon and every (state path, output
+    word), the forward product (initial mass times forward kernel steps) must
+    match the backward product (final state marginal under those actions
+    times backward kernel steps).  Reverse-kernel columns the policy never
+    reaches contribute zero weight; a path with forward mass through such a
+    column is itself a violation.
+    """
+    n = t.n
+    n_actions, n_outputs = len(t.actions), len(t.outputs)
+    marginals = state_marginals(t, policy, horizon)
+    revs = [
+        reverse_kernel(t, policy, tau, marginals=marginals, tol=tol)
+        for tau in range(horizon)
+    ]
+    tr = t.transition_marginals()
+    max_dev = 0.0
+    witness: Optional[dict] = None
+
+    def walk(a_word: tuple[int, ...], length: int):
+        """Enumerate paths for one action word and compare both products."""
+        nonlocal max_dev, witness
+        # final state marginal under this exogenous action word
+        m_end = t.initial.copy()
+        for a in a_word:
+            m_end = tr[a] @ m_end
+
+        def paths(step: int, state: int, fwd: float, rev: float, ys: tuple, ss: tuple):
+            nonlocal max_dev, witness
+            if step == length:
+                total_rev = rev * m_end[state]
+                dev = abs(fwd - total_rev)
+                if dev > max_dev:
+                    max_dev = dev
+                    if dev > tol and witness is None:
+                        witness = {
+                            "actions": tuple(t.actions.symbols[a] for a in a_word),
+                            "outputs": tuple(t.outputs.symbols[y] for y in ys),
+                            "states": tuple(t.states[s] for s in ss),
+                            "forward": fwd,
+                            "reverse": total_rev,
+                        }
+                return
+            a = a_word[step]
+            for y in range(n_outputs):
+                for nxt in range(n):
+                    f2 = fwd * t.kernel[a, y, nxt, state]
+                    if revs[step].defined_mask[a, nxt]:
+                        r2 = rev * revs[step].matrices[a, y, state, nxt]
+                    else:
+                        r2 = 0.0
+                    if f2 == 0.0 and r2 == 0.0:
+                        continue
+                    paths(step + 1, nxt, f2, r2, ys + (y,), ss + (nxt,))
+
+        for s0 in range(n):
+            if t.initial[s0] > 0.0:
+                paths(0, s0, t.initial[s0], 1.0, (), (s0,))
+
+    stack = [()]
+    while stack:
+        word = stack.pop()
+        if len(word) > 0:
+            walk(word, len(word))
+        if len(word) < horizon:
+            for a in range(n_actions):
+                stack.append(word + (a,))
+    first_witness = witness if max_dev > tol else None
+    return ReverseCheck(bool(max_dev <= tol), float(max_dev), first_witness)
+
+
+# ---------------------------------------------------------------------------
+# Reversal references: every action prefix, every history
+# ---------------------------------------------------------------------------
+
+
+def exhaustive_check_reversible(t: Transducer, horizon: int = 4, tol: float = 1e-9):
+    """The reversibility verdict over every action prefix, past the fast paths.
+
+    This is the comparison loop of ``check_reversible`` before it kept only
+    the prefixes that grow each level's span, kept verbatim; it walks |A|^tau
+    prefixes at each time tau, so it suits small horizons only.
+    """
+    tr = t.transition_marginals()
+    levels = _word_levels([t.initial], tr, horizon - 1, "reversibility check")
+    for tau, (_, prefixes, m) in enumerate(levels):
+        # joint[p, a, next, prev] for action prefix p then action a
+        joint = tr[None] * m[:, None, None, :]
+        totals = joint.sum(axis=3)
+        seen = totals > 1e-12
+        cond = joint / np.where(seen, totals, 1.0)[..., None]
+        # the first prefix reaching (a, next) sets the reference the others must match
+        first = seen.argmax(axis=0)
+        ref = np.take_along_axis(cond, first[None, :, :, None], axis=0)
+        diff = np.abs(cond - ref).max(axis=3)
+        bad = np.argwhere(seen & (diff > tol))
+        if len(bad):
+            p, a, i = bad[0]
+            return ReversibilityVerdict(
+                False,
+                "exhaustive",
+                horizon,
+                ReversibilityWitness(
+                    tau,
+                    t.actions.symbols[a],
+                    t.states[i],
+                    tuple(t.actions.symbols[x] for x in prefixes[first[a, i]]),
+                    tuple(t.actions.symbols[x] for x in prefixes[p]),
+                    float(diff[p, a, i]),
+                ),
+            )
+    return ReversibilityVerdict(True, "exhaustive", horizon)
+
+
+def history_walk_state_marginals(t: Transducer, policy, horizon: int) -> MarginalTable:
+    """Per-time (state, action) joint by walking every history, kept verbatim.
+
+    A policy without a table ignores the history and takes the single
+    state-vector recursion; any other policy walks every history with
+    positive weight, carrying the product of the policy's action
+    probabilities along it.  The walk is exponential in the horizon.  (The
+    fork once read the policy's class; it reads the table, which is empty
+    exactly for uniform and weighted policies.)
+    """
+    n = t.n
+    n_actions, n_outputs = len(t.actions), len(t.outputs)
+    joint = np.zeros((horizon + 1, n, n_actions))
+    tr = t.transition_marginals()
+    if not policy.table:
+        adist = policy.action_dist(History.empty(), n_actions)
+        m = t.initial.copy()
+        for tau in range(horizon + 1):
+            joint[tau] = np.outer(m, adist)
+            m = sum(adist[a] * (tr[a] @ m) for a in range(n_actions))
+        return MarginalTable(joint, horizon, policy.describe())
+
+    # weight[r]: policy probability of row r's actions; live rows are the
+    # histories with positive weighted mass, the only ones extended.
+    weight = np.ones(1)
+    live = np.ones(1, dtype=bool)
+    levels = _word_levels(
+        [t.initial], t.kernel, horizon, "marginal enumeration", lambda words, vecs: live
+    )
+    for tau, (parent, words, vecs) in enumerate(levels):
+        if tau:
+            weight = weight[parent] * adists[parent, words[:, -1] // n_outputs]
+            live = (weight > 0.0) & (vecs.sum(axis=1) > 0.0)
+        adists = np.zeros((len(live), n_actions))
+        for r in np.flatnonzero(live):
+            adists[r] = policy.action_dist(_history(t, words[r]), n_actions)
+        joint[tau] = (vecs * weight[:, None]).T @ adists
+    return MarginalTable(joint, horizon, policy.describe())
 
 
 # ---------------------------------------------------------------------------
@@ -234,4 +410,34 @@ def random_permutation_machine(rng, n=4, n_actions=2, n_outputs=2, name="random-
         Alphabet([str(k) for k in range(n_outputs)]),
         kernel,
         initial,
+    )
+
+
+def pair_machine() -> Transducer:
+    """A reversible 4-state, 3-action machine that no structural fast path takes.
+
+    States p0, p1 form pair P and q0, q1 pair Q.  Action "stay" keeps the
+    pair, "swap" and "coin" exchange the pairs, and each moves to either state
+    of the target pair with probability 1/2.  "stay" and "swap" emit the
+    target pair's name, "coin" emits either name with probability 1/2.  The
+    state marginals stay uniform inside each pair at every time, so given the
+    action and the next state the previous state is uniform over the source
+    pair, whatever the actions before.
+    """
+    kernel = np.zeros((3, 2, 4, 4))
+    for a, swaps in enumerate((False, True, True)):
+        for j in range(4):
+            target = (j // 2) ^ swaps
+            for i in (2 * target, 2 * target + 1):
+                if a == 2:
+                    kernel[a, :, i, j] = 0.25
+                else:
+                    kernel[a, target, i, j] = 0.5
+    return Transducer(
+        "pair",
+        ["p0", "p1", "q0", "q1"],
+        Alphabet(["stay", "swap", "coin"]),
+        Alphabet(["P", "Q"]),
+        kernel,
+        [0.15, 0.15, 0.35, 0.35],
     )

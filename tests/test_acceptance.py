@@ -45,12 +45,14 @@ from vatworld.linalg_reduce import canonical_dimension, gt_validate_interface, r
 from vatworld.minimize import coarsest_bisimulation, minimize_bisim
 from vatworld.oracle import equivalent, sample_trajectory, word_probability
 from vatworld.retro import bdmsm_forward, bdmsm_from_word, smooth
-from vatworld.reverse import check_reversible, reverse_kernel, verify_reverse_generates
+from vatworld.reverse import check_reversible, reverse_kernel
 
 from conftest import (
+    exhaustive_check_reversible,
     path_enum_future_law,
     path_enum_posterior,
     path_enum_reachable_beliefs,
+    path_enum_reverse_generates,
     random_io_moore,
     random_transducer,
     random_unifilar,
@@ -206,15 +208,15 @@ def test_criterion_6_reversibility():
     flip = make_card_deck(2, 2, "flip_shuffle")
     ok = True
     for t in (fa, cyc):
-        fast = check_reversible(t, UNIFORM, horizon=4, tol=1e-9)
-        full = check_reversible(t, UNIFORM, horizon=4, tol=1e-9, use_fast_paths=False)
+        fast = check_reversible(t, horizon=4, tol=1e-9)
+        full = exhaustive_check_reversible(t, horizon=4, tol=1e-9)
         ok = ok and fast.reversible and fast.route == "action-counifilar" and full.reversible
-        res = verify_reverse_generates(t, UNIFORM, horizon=4, tol=1e-9)
+        res = path_enum_reverse_generates(t, UNIFORM, horizon=4, tol=1e-9)
         ok = ok and res.ok and res.max_deviation <= 1e-9
     for t, horizon in ((fd, 3), (flip, 3)):
-        verdict = check_reversible(t, UNIFORM, horizon=horizon, tol=1e-9)
+        verdict = check_reversible(t, horizon=horizon, tol=1e-9)
         ok = ok and not verdict.reversible and verdict.witness is not None
-        res = verify_reverse_generates(t, UNIFORM, horizon=2, tol=1e-9)
+        res = path_enum_reverse_generates(t, UNIFORM, horizon=2, tol=1e-9)
         ok = ok and not res.ok
     for t, tau in ((fd, 1), (flip, 2), (fa, 1)):
         rk = reverse_kernel(t, UNIFORM, tau=tau, tol=1e-9)

@@ -14,6 +14,8 @@ from vatworld.fixtures import ALL_FIXTURES
 from vatworld.linalg_reduce import reduce_generalized
 from vatworld.oracle import equivalent
 
+from conftest import pair_machine
+
 
 def _all_machines():
     out = [build() for build in ALL_FIXTURES.values()]
@@ -128,6 +130,44 @@ class TestCli:
         assert code == 1
         names = {v["name"] for v in report.verdicts}
         assert "witness" in names
+
+    def test_reverse_answers_at_horizon_16_on_the_pair_machine(self, tmp_path):
+        # 3**15 action prefixes at the last time: an exhaustive walk is refused
+        path = str(tmp_path / "pair.json")
+        vio.save_transducer(pair_machine(), path)
+        code, report = run(["reverse", path, "--horizon", "16"])
+        assert code == 0, report.verdicts
+        assert report.verdicts == [
+            {"name": "reversible", "value": True},
+            {"name": "route", "value": "level-span"},
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equivalent", "parity-flip", "delay-channel", "--depth", "-1"],
+            ["reverse", "delay-channel", "--horizon", "-2"],
+            ["reverse", "delay-channel", "--horizon", "-2", "--out", "rev"],
+            ["info", "mixture-hmm", "--depth", "-1"],
+            ["info", "mixture-hmm", "--depth", "0"],
+            ["epsilon", "parity-flip", "--from-histories", "--future-depth", "-1"],
+        ],
+        ids=[
+            "equivalent-depth",
+            "reverse-horizon",
+            "reverse-horizon-out",
+            "info-depth",
+            "info-depth-zero",
+            "epsilon-future-depth",
+        ],
+    )
+    def test_out_of_range_depth_exit_two(self, machine_files, tmp_path, argv):
+        argv = [machine_files.get(a, a) for a in argv]
+        argv = [str(tmp_path / a) if a == "rev" else a for a in argv]
+        code, report = run(argv)
+        assert code == 2
+        assert report.verdicts[-1]["name"] == "error"
+        assert report.artifacts == []
 
     def test_validate_malformed_file_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -13,7 +13,6 @@ from vatworld.errors import BudgetExceededError, ImpossibleHistoryError, Structu
 from vatworld.linalg_reduce import reduce_generalized
 from vatworld.minimize import minimize_bisim
 from vatworld.oracle import (
-    InterfaceView,
     _history,
     _positive,
     _word_levels,
@@ -64,12 +63,6 @@ class TestWordProbability:
     def test_alphabet_mismatch(self, fix_a):
         with pytest.raises(StructureError):
             word_probability(fix_a, History(("2",), ("0",)))
-
-    def test_interface_view_caches(self, fix_c):
-        view = InterfaceView(fix_c)
-        h = History(("0", "0"), ("1", "0"))
-        assert view.probability(h) == view.probability(h)
-        assert view.probability(h) == pytest.approx(word_probability(fix_c, h))
 
 
 class TestLogWordProbability:

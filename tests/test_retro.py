@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vatworld.beliefs import BeliefState, predictive_update
 from vatworld.core import Alphabet, History, Policy, Transducer
@@ -18,7 +20,13 @@ from vatworld.retro import (
 from vatworld.oracle import sample_trajectory
 from vatworld.reverse import state_marginals
 
-from conftest import path_enum_posterior, positive_histories
+from conftest import (
+    path_enum_posterior,
+    positive_histories,
+    random_io_moore,
+    random_transducer,
+    random_unifilar,
+)
 
 UNIFORM = Policy.uniform()
 
@@ -192,6 +200,27 @@ class TestSmooth:
         rho = bdmsm_from_word(fix_c, h)
         np.testing.assert_allclose(slices[-1].weights, rho.matrix.sum(axis=1), atol=1e-12)
         np.testing.assert_allclose(slices[0].weights, rho.matrix.sum(axis=0), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([random_transducer, random_unifilar, random_io_moore]),
+        length=st.integers(0, 6),
+    )
+    def test_sampled_traces_match_path_enumeration(self, seed, kind, length):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((1, 4), (1, 4), (1, 4)))
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        actions, outputs, _ = sample_trajectory(t, UNIFORM, length, seed)
+        h = History(actions, outputs)
+        slices = smooth(t, h)
+        assert len(slices) == length + 1
+        for tau, s in enumerate(slices):
+            assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(s.weights, path_enum_posterior(t, h, tau), atol=1e-9)
+        rho = bdmsm_from_word(t, h)
+        np.testing.assert_allclose(rho.matrix.sum(axis=1), slices[-1].weights, atol=1e-9)
+        np.testing.assert_allclose(rho.matrix.sum(axis=0), slices[0].weights, atol=1e-9)
 
     def test_smoothing_can_sharpen_the_past(self, fix_c):
         # seeing later outputs changes the posterior over the start state

@@ -4,18 +4,31 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vatworld.core import Alphabet, History, Policy, Transducer, make_card_deck
+from vatworld.errors import StructureError
 from vatworld.oracle import word_probability
 from vatworld.reverse import (
     check_reversible,
     is_action_counifilar,
     reverse_kernel,
     state_marginals,
-    verify_reverse_generates,
 )
 
-from conftest import random_permutation_machine
+from conftest import (
+    exhaustive_check_reversible,
+    history_walk_state_marginals,
+    pair_machine,
+    path_enum_reverse_generates,
+    random_io_moore,
+    random_permutation_machine,
+    random_transducer,
+    random_unifilar,
+)
+
+MACHINE_KINDS = [random_transducer, random_unifilar, random_io_moore, random_permutation_machine]
 
 
 UNIFORM = Policy.uniform()
@@ -53,16 +66,69 @@ class TestStateMarginals:
         np.testing.assert_allclose(table.joint[1].sum(axis=1), [1.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(table.joint[2].sum(axis=1), [0.5, 0.5], atol=1e-12)
 
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(MACHINE_KINDS),
+        policy_kind=st.sampled_from(["uniform", "weighted", "table"]),
+        horizon=st.integers(0, 5),
+    )
+    def test_same_joint_as_the_history_walk(self, seed, kind, policy_kind, horizon):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((1, 6), (1, 4), (1, 4)))
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        if policy_kind == "uniform":
+            policy = Policy.uniform()
+        elif policy_kind == "weighted":
+            policy = Policy.weighted(rng.dirichlet(np.ones(n_a)))
+        else:
+            # keys of every length up to 3, reachable or not
+            table = {}
+            for _ in range(int(rng.integers(1, 5))):
+                k = int(rng.integers(0, 4))
+                h = History(rng.integers(0, n_a, k), rng.integers(0, n_y, k))
+                table[h] = rng.dirichlet(np.ones(n_a))
+            policy = Policy.from_table(table)
+        got = state_marginals(t, policy, horizon)
+        ref = history_walk_state_marginals(t, policy, horizon)
+        assert (got.horizon, got.policy) == (ref.horizon, ref.policy)
+        if policy_kind == "table":
+            np.testing.assert_allclose(got.joint, ref.joint, rtol=0.0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(got.joint, ref.joint)
+
+    def test_table_entry_of_the_wrong_size_raises_only_where_reached(self, fix_a):
+        # the first action is always 0, so a key starting with action 1 is never consulted
+        unreached = {History.empty(): [1.0, 0.0], History(("1",), ("1",)): [1.0]}
+        table = state_marginals(fix_a, Policy.from_table(unreached), horizon=3)
+        np.testing.assert_allclose(table.joint[1].sum(axis=1), [1.0, 0.0], atol=1e-12)
+        reached = {History.empty(): [1.0, 0.0], History(("0",), ("0",)): [1.0]}
+        with pytest.raises(StructureError):
+            state_marginals(fix_a, Policy.from_table(reached), horizon=3)
+
+    def test_table_policy_at_horizon_nine_on_three_actions(self):
+        # 6**9 histories: the history walk is refused here
+        t = random_transducer(np.random.default_rng(3), n=4, n_actions=3, n_outputs=2)
+        policy = Policy.from_table({History.empty(): [0.2, 0.3, 0.5]})
+        table = state_marginals(t, policy, horizon=9)
+        np.testing.assert_allclose(table.joint.sum(axis=(1, 2)), 1.0, atol=1e-12)
+        np.testing.assert_allclose(table.joint[0].sum(axis=0), [0.2, 0.3, 0.5], atol=1e-12)
+        np.testing.assert_allclose(table.joint[9].sum(axis=0), [1 / 3] * 3, atol=1e-12)
+
+    def test_negative_horizon_rejected(self, fix_a):
+        with pytest.raises(StructureError):
+            state_marginals(fix_a, UNIFORM, horizon=-1)
+
 
 class TestCheckReversible:
     def test_parity_flip_fast_path_and_exhaustive(self, fix_a):
-        fast = check_reversible(fix_a, UNIFORM, horizon=4)
+        fast = check_reversible(fix_a, horizon=4)
         assert fast.reversible and fast.route == "action-counifilar"
-        full = check_reversible(fix_a, UNIFORM, horizon=4, use_fast_paths=False)
+        full = exhaustive_check_reversible(fix_a, horizon=4)
         assert full.reversible and full.route == "exhaustive"
 
     def test_delay_channel_witness(self, fix_d):
-        verdict = check_reversible(fix_d, UNIFORM, horizon=3)
+        verdict = check_reversible(fix_d, horizon=3)
         assert not verdict.reversible
         w = verdict.witness
         assert w is not None
@@ -70,28 +136,67 @@ class TestCheckReversible:
         assert w.prefix_a != w.prefix_b
 
     def test_single_state_machine_reversible(self):
-        verdict = check_reversible(one_state_coin(), UNIFORM, horizon=4)
+        verdict = check_reversible(one_state_coin(), horizon=4)
         assert verdict.reversible and verdict.route == "single-state"
 
     def test_action_agnostic_fast_path(self, fix_c):
-        verdict = check_reversible(fix_c, UNIFORM, horizon=4)
+        verdict = check_reversible(fix_c, horizon=4)
         assert verdict.reversible and verdict.route == "action-agnostic"
 
     def test_deck_variants(self):
         flip = make_card_deck(2, 2, "flip_shuffle")
         cyc = make_card_deck(2, 2, "cyclic")
-        bad = check_reversible(flip, UNIFORM, horizon=4)
+        bad = check_reversible(flip, horizon=4)
         assert not bad.reversible and bad.witness is not None
-        good = check_reversible(cyc, UNIFORM, horizon=4)
+        good = check_reversible(cyc, horizon=4)
         assert good.reversible and good.route == "action-counifilar"
-        assert check_reversible(cyc, UNIFORM, horizon=4, use_fast_paths=False).reversible
+        assert exhaustive_check_reversible(cyc, horizon=4).reversible
 
     def test_fast_path_soundness_on_permutation_machines(self):
         rng = np.random.default_rng(77)
         for k in range(20):
             t = random_permutation_machine(rng, n=4, name=f"perm{k}")
             assert is_action_counifilar(t)
-            assert check_reversible(t, UNIFORM, horizon=3, use_fast_paths=False).reversible
+            assert exhaustive_check_reversible(t, horizon=3).reversible
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(MACHINE_KINDS),
+        horizon=st.integers(0, 6),
+    )
+    def test_level_span_verdict_and_witness_are_the_exhaustive_ones(self, seed, kind, horizon):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((1, 6), (1, 4), (1, 4)))
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        got = check_reversible(t, horizon=horizon)
+        ref = exhaustive_check_reversible(t, horizon=horizon)
+        assert got.reversible == ref.reversible
+        if got.route != "level-span":
+            return  # a structural fast path, sound by the line above
+        if ref.witness is None:
+            assert got.witness is None
+            return
+        a, b = got.witness, ref.witness
+        assert (a.tau, a.action, a.next_state, a.prefix_a, a.prefix_b) == (
+            b.tau,
+            b.action,
+            b.next_state,
+            b.prefix_a,
+            b.prefix_b,
+        )
+        assert a.max_difference == pytest.approx(b.max_difference, abs=1e-12)
+
+    def test_pair_machine_takes_the_level_span_route(self):
+        t = pair_machine()
+        assert exhaustive_check_reversible(t, horizon=6).reversible
+        for horizon in (6, 1000):
+            verdict = check_reversible(t, horizon=horizon)
+            assert verdict.reversible and verdict.route == "level-span"
+
+    def test_negative_horizon_rejected(self, fix_d):
+        with pytest.raises(StructureError):
+            check_reversible(fix_d, horizon=-2)
 
 
 class TestIsActionCounifilar:
@@ -135,21 +240,21 @@ class TestReverseKernel:
 
 class TestVerifyReverseGenerates:
     def test_parity_flip_exact(self, fix_a):
-        res = verify_reverse_generates(fix_a, UNIFORM, horizon=4)
+        res = path_enum_reverse_generates(fix_a, UNIFORM, horizon=4)
         assert res.ok and res.max_deviation <= 1e-12
 
     def test_small_cyclic_deck(self):
-        res = verify_reverse_generates(make_card_deck(1, 1, "cyclic"), UNIFORM, horizon=4)
+        res = path_enum_reverse_generates(make_card_deck(1, 1, "cyclic"), UNIFORM, horizon=4)
         assert res.ok and res.max_deviation <= 1e-12
 
     def test_delay_channel_fails_with_path(self, fix_d):
-        res = verify_reverse_generates(fix_d, UNIFORM, horizon=2)
+        res = path_enum_reverse_generates(fix_d, UNIFORM, horizon=2)
         assert not res.ok
         assert res.witness is not None
         assert res.witness["forward"] != pytest.approx(res.witness["reverse"])
 
     def test_flip_shuffle_deck_fails(self):
-        res = verify_reverse_generates(make_card_deck(2, 2, "flip_shuffle"), UNIFORM, horizon=3)
+        res = path_enum_reverse_generates(make_card_deck(2, 2, "flip_shuffle"), UNIFORM, horizon=3)
         assert not res.ok
 
     def test_reverse_factorization_reproduces_word_probabilities(self, fix_a):
