@@ -10,10 +10,11 @@ marginals, which only exist under an explicit action law.  Every artifact
 here is therefore stamped with the policy used.
 
 Neither question enumerates histories.  The verdict compares, at each time,
-only the action prefixes whose state marginals grow that time's span, which
-never exceeds n dimensions (Tzeng 1992).  The marginals under a policy track
-one vector per prefix of a policy-table key and pool every other history
-into one vector that evolves under the policy's fallback law.
+only the extensions of the action prefixes whose state marginals grew the
+span of the time before, which never exceeds n dimensions (Tzeng 1992).  The
+marginals under a policy track one vector per prefix of a policy-table key
+and pool every other history into one vector that evolves under the
+policy's fallback law.
 """
 
 from __future__ import annotations
@@ -128,6 +129,12 @@ class ReversibilityVerdict:
         return self.reversible
 
 
+# Masses and per-state relative deviations at or below this are negligible:
+# the comparison skips (action, next state) pairs of no more mass, and the
+# level-span walk drops prefixes whose marginals grow the span by no more.
+_NEGLIGIBLE = 1e-12
+
+
 def is_action_counifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
     """True when (next state, action) pins down the previous state."""
     tr = t.transition_marginals()  # [a, to, from]
@@ -155,21 +162,28 @@ def check_reversible(
     prefix reaching (a, i) sets the reference, and a later one that differs
     from it by more than tol is the witness.
 
-    Only the prefixes whose state marginals grow their time's span are
-    compared.  Level tau + 1 holds the level-tau prefixes kept, each extended
-    by every action, in alphabet order, and a prefix is kept when its two-pass
-    Gram-Schmidt residual against the marginals kept before it exceeds
-    tol * |initial|.  So a level holds at most n prefixes and the cost is
-    O(horizon * |A| * n^3).  A dropped prefix's marginal is a combination of
-    earlier kept ones, and its image under diag(tr[a][i, :]) a combination of
-    theirs, so in exact arithmetic the verdict and the witness are those of
-    comparing every prefix.  In floating point, write a prefix's marginal as
-    m = sum_q c_q m_q + r over the kept marginals m_q of its level, r the
-    residual (|r| <= tol * |initial| when the prefix's own parent was kept).
-    When every kept prefix is within tol of the reference for (a, i), the
-    prefix's conditional is within (tol * sum_q |c_q| s_q + 2 |r|_1) / s of
-    it, where s_q and s are the masses the prefixes put on (a, i): tol itself
-    when the combination is non-negative and r = 0.
+    Only the prefixes that extend a span-growing one are compared.  Level
+    tau + 1 holds the level-tau prefixes kept, each extended by every action,
+    in alphabet order.  A prefix is kept when its state marginal, each state's
+    mass divided by the largest at its level (or by _NEGLIGIBLE if that is
+    smaller), has a two-pass Gram-Schmidt residual above _NEGLIGIBLE against
+    the marginals kept before it.  So a level keeps at most n prefixes and
+    compares at most n * |A|, and the cost is O(horizon * |A|^2 * n^3).
+
+    A dropped prefix's marginal is a combination of earlier kept ones, so the
+    images under diag(tr[a][i, :]) of its extensions are combinations of those
+    of compared prefixes that come before them: in exact arithmetic the
+    verdict and the witness are those of comparing every prefix.  In floating
+    point, write an uncompared prefix's marginal as m = sum_q c_q m_q + r over
+    the marginals m_q compared at its time, r the drops' residuals carried
+    forward (each, at its drop, at most _NEGLIGIBLE per unit of a state's
+    largest mass at that level).  Its conditional at (a, i) is within
+    (tol * sum_q |c_q| s_q + 2 |diag(tr[a][i, :]) r|_1) / s of the reference,
+    where s_q and s are the masses the prefixes put on (a, i).  The first term
+    is tol itself when no c_q is negative; it exceeds tol only when the
+    compared prefixes differ from the reference by nearly tol and m
+    extrapolates them, so a machine whose differences all sit near tol can be
+    called reversible although some prefix differs by a little more.
     """
     if horizon < 0:
         raise StructureError(f"horizon must be at least 0, got {horizon}")
@@ -181,19 +195,18 @@ def check_reversible(
         return ReversibilityVerdict(True, "action-counifilar", horizon)
     tr = t.transition_marginals()
     step = tr.reshape(-1, t.n).T  # row vector @ step = the marginal after each action
-    floor = tol * float(np.linalg.norm(t.initial))
     prefixes, m = [()], t.initial[None, :]
     for tau in range(horizon):
         if tau:
-            words = [p + (a,) for p in prefixes for a in range(len(t.actions))]
-            vecs = (m @ step).reshape(-1, t.n)
-            grow = _span_grower(t.n, floor)
-            kept = [r for r, vec in enumerate(vecs) if grow(vec) is not None]
-            prefixes, m = [words[r] for r in kept], vecs[kept]
+            grow = _span_grower(t.n, _NEGLIGIBLE)
+            scaled = m / np.maximum(m.max(axis=0), _NEGLIGIBLE)
+            kept = [r for r, vec in enumerate(scaled) if grow(vec) is not None]
+            prefixes = [prefixes[r] + (a,) for r in kept for a in range(len(t.actions))]
+            m = (m[kept] @ step).reshape(-1, t.n)
         # joint[p, a, next, prev] for action prefix p then action a
         joint = tr[None] * m[:, None, None, :]
         totals = joint.sum(axis=3)
-        seen = totals > 1e-12
+        seen = totals > _NEGLIGIBLE
         cond = joint / np.where(seen, totals, 1.0)[..., None]
         # the first prefix reaching (a, next) sets the reference the others must match
         first = seen.argmax(axis=0)

@@ -413,6 +413,103 @@ def random_permutation_machine(rng, n=4, n_actions=2, n_outputs=2, name="random-
     )
 
 
+def random_rare_machine(rng, n=3, n_actions=2, n_outputs=2, name="random-rare") -> Transducer:
+    """Machine with rare states: near-deterministic moves and tiny initial masses.
+
+    Each (action, state) column makes one move, plus up to two leaks of
+    probability 1e-8 to 1e-3; the initial law puts 1e-10 to 1 on each state
+    before normalising.  Marginals under different action prefixes then differ
+    by little, and mostly on low-mass states.
+    """
+    kernel = np.zeros((n_actions, n_outputs, n, n))
+    for a in range(n_actions):
+        for j in range(n):
+            col = kernel[a, :, :, j]
+            col[rng.integers(n_outputs), rng.integers(n)] = 1.0
+            for _ in range(int(rng.integers(0, 3))):
+                col[rng.integers(n_outputs), rng.integers(n)] += 10.0 ** rng.uniform(-8, -3)
+            col /= col.sum()
+    initial = 10.0 ** rng.uniform(-10, 0, size=n)
+    initial[rng.integers(n)] = 1.0
+    return Transducer(
+        name,
+        [f"s{k}" for k in range(n)],
+        Alphabet([str(k) for k in range(n_actions)]),
+        Alphabet([str(k) for k in range(n_outputs)]),
+        kernel,
+        initial / initial.sum(),
+    )
+
+
+def leak_machine(leak: float = 1e-4, mass: float = 1e-6) -> Transducer:
+    """States s0, s1, s2; actions "keep" and "leak"; one output.
+
+    "keep" holds every state, and so does "leak", except that s1 moves to s2
+    with probability leak.  s1 and s2 start with the given mass each.  The
+    marginals after the prefixes "keep" and "leak" differ by about
+    mass * leak, yet given action "leak" and next state s2 the two prefixes
+    disagree on the previous state by about 2 * leak**2.
+    """
+    kernel = np.zeros((2, 1, 3, 3))
+    kernel[:, 0] = np.eye(3)
+    kernel[1, 0, 1:, 1] = [1.0 - leak, leak]
+    return Transducer(
+        "leak",
+        ["s0", "s1", "s2"],
+        Alphabet(["keep", "leak"]),
+        Alphabet(["y"]),
+        kernel,
+        [1.0 - 2.0 * mass, mass, mass],
+    )
+
+
+def delayed_leak_machine(leak: float = 1e-4, mass: float = 1e-6) -> Transducer:
+    """States s0..s3; actions "keep", "leak" and "spill"; one output.
+
+    "keep" holds every state.  "leak" moves s1 to s2 with probability leak
+    and s2 on to s3.  "spill" moves half of s0 to s2 and s2 on to s3.  Only
+    s0 and s1 (with the given mass) start occupied.  No two prefixes of length
+    one disagree on any previous state, but given "leak" and next state s3,
+    ("keep", "leak") and ("leak", "leak") disagree by about 1/2.  The prefix
+    "leak" departs from "keep" by about mass * leak, a relative leak on s1,
+    and on s2 by less than mass * leak against the mass "spill" puts there.
+    """
+    kernel = np.zeros((3, 1, 4, 4))
+    kernel[:, 0] = np.eye(4)
+    kernel[1, 0, 1:3, 1] = [1.0 - leak, leak]
+    kernel[1:, 0, 2:, 2] = [0.0, 1.0]
+    kernel[2, 0, ::2, 0] = [0.5, 0.5]
+    return Transducer(
+        "delayed-leak",
+        ["s0", "s1", "s2", "s3"],
+        Alphabet(["keep", "leak", "spill"]),
+        Alphabet(["y"]),
+        kernel,
+        [1.0 - mass, mass, 0.0, 0.0],
+    )
+
+
+def rank_cap_machine(rare: float = 1e-8, leak: float = 1e-7) -> Transducer:
+    """Two states, three actions: "swap" exchanges s0 and s1, "drain" sends s1
+    to s0 and keeps s0 but for a leak to s1, "stay" holds both.  s0 starts
+    with the rare mass.  The prefixes "swap" and "drain" already span both
+    dimensions, and given "drain" and next state s0 they disagree on the
+    previous state by about rare, while "stay" disagrees with them by about 1.
+    """
+    kernel = np.zeros((3, 1, 2, 2))
+    kernel[0, 0] = [[0.0, 1.0], [1.0, 0.0]]
+    kernel[1, 0] = [[1.0 - leak, 1.0], [leak, 0.0]]
+    kernel[2, 0] = np.eye(2)
+    return Transducer(
+        "rank-cap",
+        ["s0", "s1"],
+        Alphabet(["swap", "drain", "stay"]),
+        Alphabet(["y"]),
+        kernel,
+        [rare, 1.0 - rare],
+    )
+
+
 def pair_machine() -> Transducer:
     """A reversible 4-state, 3-action machine that no structural fast path takes.
 

@@ -18,14 +18,18 @@ from vatworld.reverse import (
 )
 
 from conftest import (
+    delayed_leak_machine,
     exhaustive_check_reversible,
     history_walk_state_marginals,
+    leak_machine,
     pair_machine,
     path_enum_reverse_generates,
     random_io_moore,
     random_permutation_machine,
+    random_rare_machine,
     random_transducer,
     random_unifilar,
+    rank_cap_machine,
 )
 
 MACHINE_KINDS = [random_transducer, random_unifilar, random_io_moore, random_permutation_machine]
@@ -120,6 +124,18 @@ class TestStateMarginals:
             state_marginals(fix_a, UNIFORM, horizon=-1)
 
 
+def witness_key(verdict):
+    w = verdict.witness
+    return verdict.reversible, w and (w.tau, w.action, w.next_state, w.prefix_a, w.prefix_b)
+
+
+def assert_same_witness(got, ref):
+    """Same verdict and witness, max_difference within 1e-12."""
+    assert witness_key(got) == witness_key(ref)
+    if ref.witness is not None:
+        assert got.witness.max_difference == pytest.approx(ref.witness.max_difference, abs=1e-12)
+
+
 class TestCheckReversible:
     def test_parity_flip_fast_path_and_exhaustive(self, fix_a):
         fast = check_reversible(fix_a, horizon=4)
@@ -172,20 +188,68 @@ class TestCheckReversible:
         got = check_reversible(t, horizon=horizon)
         ref = exhaustive_check_reversible(t, horizon=horizon)
         assert got.reversible == ref.reversible
+        if got.route == "level-span":  # else a structural fast path, sound by the line above
+            assert_same_witness(got, ref)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+        horizon=st.integers(0, 6),
+    )
+    def test_level_span_on_rare_states_matches_the_exhaustive_walk(self, seed, tol, horizon):
+        # Low-mass states and near-collinear marginals are where dropping a
+        # prefix could hide a difference.  The structural fast paths read
+        # kernel entries at or below tol as zero, so only level-span verdicts
+        # are compared.  A prefix that is not compared differs from the
+        # reference by a combination of the compared prefixes' differences,
+        # each at most tol (the docstring's bound), so where a tenfold tol
+        # changes the exhaustive verdict the level-span one need only be sound.
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((2, 6), (2, 4), (1, 4)))
+        t = random_rare_machine(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        got = check_reversible(t, horizon=horizon, tol=tol)
         if got.route != "level-span":
-            return  # a structural fast path, sound by the line above
-        if ref.witness is None:
-            assert got.witness is None
             return
-        a, b = got.witness, ref.witness
-        assert (a.tau, a.action, a.next_state, a.prefix_a, a.prefix_b) == (
-            b.tau,
-            b.action,
-            b.next_state,
-            b.prefix_a,
-            b.prefix_b,
+        ref = exhaustive_check_reversible(t, horizon=horizon, tol=tol)
+        if not got.reversible:  # a level-span witness is a difference the walk sees too
+            assert not ref.reversible and ref.witness.tau <= got.witness.tau
+        if witness_key(ref) == witness_key(exhaustive_check_reversible(t, horizon, 10 * tol)):
+            assert_same_witness(got, ref)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3])
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            pytest.param(leak_machine(1e-4, 1e-6), id="leak-1e-4-mass-1e-6"),
+            pytest.param(leak_machine(1e-4, 1e-10), id="leak-1e-4-mass-1e-10"),
+            pytest.param(leak_machine(1e-2, 1e-3), id="leak-1e-2-mass-1e-3"),
+            pytest.param(delayed_leak_machine(1e-4, 1e-6), id="delayed-1e-4-mass-1e-6"),
+            pytest.param(delayed_leak_machine(1e-2, 1e-3), id="delayed-1e-2-mass-1e-3"),
+            pytest.param(rank_cap_machine(), id="rank-cap"),
+        ],
+    )
+    def test_rare_state_machines_match_the_exhaustive_walk(self, machine, tol):
+        for horizon in range(5):
+            got = check_reversible(machine, horizon=horizon, tol=tol)
+            if got.route != "level-span":  # a leak of 1e-4 is within tol 1e-3
+                assert (machine.name, tol, got.route) == ("leak", 1e-3, "action-agnostic")
+            assert_same_witness(got, exhaustive_check_reversible(machine, horizon=horizon, tol=tol))
+
+    def test_leak_machine_is_not_reversible(self):
+        # "keep" and "leak" differ by 1e-10 in their marginals, 2e-8 in the
+        # previous-state law given ("leak", s2)
+        verdict = check_reversible(leak_machine(1e-4, 1e-6), horizon=2)
+        assert not verdict.reversible
+        w = verdict.witness
+        assert (w.tau, w.action, w.next_state, w.prefix_a, w.prefix_b) == (
+            1,
+            "leak",
+            "s2",
+            ("keep",),
+            ("leak",),
         )
-        assert a.max_difference == pytest.approx(b.max_difference, abs=1e-12)
+        assert w.max_difference == pytest.approx(2e-8, rel=1e-3)
 
     def test_pair_machine_takes_the_level_span_route(self):
         t = pair_machine()
