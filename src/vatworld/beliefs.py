@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, MooreClass, Transducer, classify_moore, validate
 from .errors import ImpossibleHistoryError, MspClosureError, StructureError
+from .minimize import _TolIndex
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,8 @@ def update(t: Transducer, prior: BeliefState, output, tol: float = DEFAULT_TOL) 
 
 def is_unifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
     """True when every (state, action, output) with emission mass has one successor."""
-    for a in range(len(t.actions)):
-        for y in range(len(t.outputs)):
-            for j in range(t.n):
-                col = t.kernel[a, y, :, j]
-                if col.sum() > tol and int(np.sum(col > tol)) != 1:
-                    return False
-    return True
+    cols = np.ascontiguousarray(t.kernel.transpose(0, 1, 3, 2))  # [a, y, j, next]
+    return not np.any((cols.sum(axis=-1) > tol) & (np.sum(cols > tol, axis=-1) != 1))
 
 
 @dataclass(frozen=True)
@@ -161,6 +157,8 @@ def build_msp(
     n_actions, n_outputs = len(t.actions), len(t.outputs)
     start = t.initial / t.initial.sum()
     beliefs: list[np.ndarray] = [start]
+    index = _TolIndex(t.n, tol)
+    index.add(0, index.project(start[None])[0])
     depth_of = [0]
     edges: list[tuple[int, int, int, int, float]] = []
     queue = [0]
@@ -191,9 +189,10 @@ def build_msp(
                 if emit <= tol:
                     continue
                 new = raw / emit
+                key = index.project(new[None])[0]
                 target = None
-                for k, known in enumerate(beliefs):
-                    if float(np.abs(known - new).sum()) <= tol:
+                for k in index.candidates(key):
+                    if float(np.abs(beliefs[k] - new).sum()) <= tol:
                         target = k
                         break
                 if target is None:
@@ -201,9 +200,10 @@ def build_msp(
                         raise _closure_error(f"more than {max_states} beliefs reached")
                     if depth_of[bi] + 1 > max_depth:
                         raise _closure_error(f"closure deeper than {max_depth}")
+                    target = len(beliefs)
                     beliefs.append(new)
+                    index.add(target, key)
                     depth_of.append(depth_of[bi] + 1)
-                    target = len(beliefs) - 1
                     queue.append(target)
                 edges.append((bi, a, y, target, emit))
 

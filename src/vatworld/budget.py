@@ -7,6 +7,7 @@ its words here once, before it starts, and refuses to start over the cap.
 The cap is overridden with the VATWORLD_BUDGET environment variable.
 """
 
+import math
 import os
 
 from .errors import BudgetExceededError
@@ -24,11 +25,24 @@ def current_budget() -> int:
         return DEFAULT_BUDGET
 
 
-def check(n_words: float, what: str = "enumeration") -> None:
-    """Raise BudgetExceededError if ``n_words`` exceeds the cap."""
+def check(n_starts: int, n_letters: int, depth: int, what: str = "enumeration") -> None:
+    """Raise BudgetExceededError if n_starts * n_letters**depth words exceed the cap.
+
+    The cap is an int from a float, so below 1e309; a larger count is refused
+    without being computed, and one past the float range is reported by its
+    decimal exponent, so no depth overflows the check.
+    """
     cap = current_budget()
-    if n_words > cap:
-        raise BudgetExceededError(
-            f"{what} would visit ~{n_words:.3g} words, over the budget of {cap}; "
-            "raise VATWORLD_BUDGET to proceed"
-        )
+    log10_words = math.log10(n_starts) + depth * math.log10(n_letters) if n_starts else -math.inf
+    if log10_words < 309:
+        n_words = n_starts * n_letters**depth
+        if n_words <= cap:
+            return
+    if log10_words < 308:
+        count = f"~{n_words:.3g}"
+    else:
+        count = f"{n_starts}*{n_letters}**{depth} ~{10 ** (log10_words % 1):.3g}e+{int(log10_words)}"
+    raise BudgetExceededError(
+        f"{what} would visit {count} words, over the budget of {cap}; "
+        "raise VATWORLD_BUDGET to proceed"
+    )

@@ -371,22 +371,6 @@ def _cmd_reverse(args, report: RunReport) -> int:
         marginals = state_marginals(t, policy, args.horizon)
         for tau in range(args.horizon):
             rk = reverse_kernel(t, policy, tau, marginals=marginals, tol=args.tol)
-            records = []
-            for a in range(len(t.actions)):
-                for y in range(len(t.outputs)):
-                    for i in range(t.n):
-                        for j in range(t.n):
-                            p = float(rk.matrices[a, y, i, j])
-                            if p != 0.0:
-                                records.append(
-                                    {
-                                        "from": t.states[j],
-                                        "action": t.actions.symbols[a],
-                                        "output": t.outputs.symbols[y],
-                                        "to": t.states[i],
-                                        "prob": p,
-                                    }
-                                )
             doc = {
                 "tau": tau,
                 "policy": policy.describe(),
@@ -396,7 +380,7 @@ def _cmd_reverse(args, report: RunReport) -> int:
                     ]
                     for a in range(len(t.actions))
                 },
-                "kernel": records,
+                "kernel": vio.kernel_records(t, rk.matrices, walk=(0, 1, 2, 3)),
             }
             path = f"{args.out}.tau{tau}.json"
             with open(path, "w", encoding="utf-8") as fh:

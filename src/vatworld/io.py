@@ -30,30 +30,32 @@ def _require(doc: dict, key: str, kind, where: str):
 # ---------------------------------------------------------------------------
 
 
+def kernel_records(t: Transducer, kernel: np.ndarray, walk: tuple[int, ...]) -> list[dict]:
+    """The nonzero entries of ``kernel[a, y, to, from]`` as (from, action, output,
+    to, prob) records, in the row-major order of the axes listed in ``walk``."""
+    view = kernel.transpose(walk)
+    spots = np.nonzero(view)
+    a, y, i, j = (spots[walk.index(axis)].tolist() for axis in range(4))
+    return [
+        {
+            "from": t.states[src],
+            "action": t.actions.symbols[act],
+            "output": t.outputs.symbols[out],
+            "to": t.states[dst],
+            "prob": p,
+        }
+        for src, act, out, dst, p in zip(j, a, y, i, view[spots].tolist())
+    ]
+
+
 def transducer_to_doc(t: Transducer) -> dict:
-    records = []
-    for j in range(t.n):
-        for a in range(len(t.actions)):
-            for y in range(len(t.outputs)):
-                for i in range(t.n):
-                    p = float(t.kernel[a, y, i, j])
-                    if p != 0.0:
-                        records.append(
-                            {
-                                "from": t.states[j],
-                                "action": t.actions.symbols[a],
-                                "output": t.outputs.symbols[y],
-                                "to": t.states[i],
-                                "prob": p,
-                            }
-                        )
     return {
         "name": t.name,
         "states": list(t.states),
         "actions": list(t.actions.symbols),
         "outputs": list(t.outputs.symbols),
         "initial": [float(x) for x in t.initial],
-        "kernel": records,
+        "kernel": kernel_records(t, t.kernel, walk=(3, 0, 1, 2)),
     }
 
 

@@ -9,6 +9,7 @@ representative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,10 @@ class Partition:
 
     @staticmethod
     def from_assignment(assignment) -> "Partition":
-        n = len(assignment)
-        ids = sorted(set(assignment))
-        groups = [[s for s in range(n) if assignment[s] == cid] for cid in ids]
-        return Partition.from_classes(groups, n)
+        groups: dict = {}
+        for s, cid in enumerate(assignment):
+            groups.setdefault(cid, []).append(s)
+        return Partition.from_classes(groups.values(), len(assignment))
 
     @staticmethod
     def discrete(n: int) -> "Partition":
@@ -59,10 +60,79 @@ class Partition:
         return all(len(c) == 1 for c in self.classes)
 
 
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+class _TolIndex:
+    """Stored rows bucketed by one projection, for "first stored row within tol".
+
+    Each row u is projected onto one fixed weight vector w >= 0 with
+    |w|_1 = 1.  Since |w.(u - v)| <= |u - v|_inf <= |u - v|_1, a stored row
+    within tol of a query in either norm projects within tol of it; the probe
+    radius adds a bound on the rounding of both projections and of the
+    caller's distance sum.  Projections fall in cells of twice the radius a
+    unit-magnitude row needs, so a query probes at most two cells.
+    ``candidates`` returns, in ascending id order, every stored row of the
+    query's group that a linear scan could accept, so the first candidate
+    passing the caller's own distance test is the scan's answer.  Where the
+    probe is not finite (a non-finite entry, an infinite tol) or would cover
+    more cells than the group has rows, it returns every row of the group.
+    """
+
+    def __init__(self, dim: int, tol: float):
+        raw = 1.0 + np.modf(np.arange(dim) * 0.6180339887498949)[0]
+        self._w = raw / raw.sum()
+        self._tol = tol
+        self._rel = 4.0 * (dim + 2) * _EPS
+        self._pitch = 2.0 * (tol + 2.0 * (self._rel * (1.0 + tol) + _TINY))
+        self._slack = 0.0  # the largest rounding bound of a stored row
+        self._cells: dict = {}  # (group, cell) -> ids, ascending
+        self._groups: dict = {}  # group -> ids, ascending
+
+    def project(self, rows: np.ndarray) -> list[tuple[float, float]]:
+        """(w.u, rounding bound) per row of a 2-D array; never raises on inf or nan."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            p = rows @ self._w
+            s = self._rel * (np.abs(rows) @ self._w + self._tol) + _TINY
+        return list(zip(p.tolist(), s.tolist()))
+
+    def add(self, ident: int, key: tuple[float, float], group=None) -> None:
+        """Store row ``ident`` (ids must ascend within a group) by its projection key."""
+        p, s = key
+        self._groups.setdefault(group, []).append(ident)
+        cell = p / self._pitch
+        if math.isfinite(cell):  # a row without a cell is only reached by the fallback
+            self._cells.setdefault((group, math.floor(cell)), []).append(ident)
+            self._slack = max(self._slack, s)
+
+    def candidates(self, key: tuple[float, float], group=None) -> list[int]:
+        """Ids of the stored rows of ``group`` that may lie within tol of the query."""
+        if not self._tol >= 0.0:
+            return []  # no distance is within a negative or nan tol
+        members = self._groups.get(group, [])
+        p, s = key
+        reach = self._tol + s + self._slack
+        lo, hi = (p - reach) / self._pitch, (p + reach) / self._pitch
+        if not (math.isfinite(lo) and math.isfinite(hi) and hi - lo < len(members)):
+            return list(members)
+        found = []
+        for cell in range(math.floor(lo), math.floor(hi) + 1):
+            found += self._cells.get((group, cell), [])
+        return sorted(found)
+
+
 def _emission_signature(t: Transducer) -> np.ndarray:
     """sig[j] = flat vector of Pr(y | a, state j) over all (a, y)."""
     em = t.emission_marginals()  # [a, y, j]
     return em.reshape(-1, t.n).T  # [j, (a, y)]
+
+
+def _membership(part: Partition) -> np.ndarray:
+    """member[c, j] = 1 when state j lies in class c."""
+    member = np.zeros((part.n_classes, len(part.class_of)))
+    member[part.class_of, np.arange(len(part.class_of))] = 1.0
+    return member
 
 
 def _block_signature(t: Transducer, part: Partition) -> np.ndarray:
@@ -71,27 +141,24 @@ def _block_signature(t: Transducer, part: Partition) -> np.ndarray:
     Entry for (a, y, class C) is the probability of emitting y and landing in
     C under action a from state j.
     """
-    n = t.n
-    member = np.zeros((part.n_classes, n))
-    for ci, members in enumerate(part.classes):
-        member[ci, list(members)] = 1.0
-    block = np.einsum("ci,ayij->aycj", member, t.kernel)
-    return block.reshape(-1, n).T  # [j, (a, y, c)]
+    block = _membership(part) @ t.kernel  # [a, y, c, j]
+    return block.reshape(-1, t.n).T  # [j, (a, y, c)]
 
 
-def _group_by_signature(sig: np.ndarray, tol: float) -> Partition:
-    """Greedy leader grouping in state-index order; leaders anchor each class."""
-    n = sig.shape[0]
-    leaders: list[int] = []
-    assign = [-1] * n
-    for j in range(n):
-        for ci, lead in enumerate(leaders):
+def _split_by_signature(sig: np.ndarray, tol: float, class_of) -> Partition:
+    """Split each class greedily: in state order, a state joins the first leader
+    of its class within tol (max norm) of its signature, or leads a new class."""
+    index = _TolIndex(sig.shape[1], tol)
+    assign: list[int] = []
+    for j, key in enumerate(index.project(sig)):
+        group = class_of[j]
+        for lead in index.candidates(key, group):
             if np.all(np.abs(sig[j] - sig[lead]) <= tol):
-                assign[j] = ci
+                assign.append(lead)
                 break
         else:
-            leaders.append(j)
-            assign[j] = len(leaders) - 1
+            index.add(j, key, group)
+            assign.append(j)
     return Partition.from_assignment(assign)
 
 
@@ -104,17 +171,10 @@ def coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
     and refinement ends within n rounds.
     """
     em = _emission_signature(t)
-    part = _group_by_signature(em, tol)
+    part = _split_by_signature(em, tol, [0] * t.n)
     while True:
         sig = np.concatenate([em, _block_signature(t, part)], axis=1)
-        refined = Partition.from_classes(
-            [
-                [members[i] for i in group]
-                for members in part.classes
-                for group in _group_by_signature(sig[list(members)], tol).classes
-            ],
-            t.n,
-        )
+        refined = _split_by_signature(sig, tol, part.class_of)
         if refined.n_classes == part.n_classes:
             return part
         part = refined
@@ -159,10 +219,7 @@ def quotient(t: Transducer, part: Partition, tol: float = DEFAULT_TOL) -> Transd
     if len(part.class_of) != t.n:
         raise StructureError("partition size does not match the machine")
     _check_bisimulation(t, part, tol)
-    k = part.n_classes
-    member = np.zeros((k, t.n))
-    for ci, members in enumerate(part.classes):
-        member[ci, list(members)] = 1.0
+    member = _membership(part)
     weights = member / member.sum(axis=1, keepdims=True)
     # new_kernel[a, y, C, D]: sum rows over C, average columns over D's members
     new_kernel = member @ t.kernel @ weights.T

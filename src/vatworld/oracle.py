@@ -119,7 +119,7 @@ def _word_levels(starts, mats: np.ndarray, depth: int, what: str, keep=None):
     step = mats.reshape(-1, dims).T  # row vector @ step = every one-letter child
     n_letters = step.shape[1] // dims
     vecs = np.asarray(starts, dtype=float).reshape(-1, dims)
-    budget.check(len(vecs) * float(n_letters) ** depth, what)
+    budget.check(len(vecs), n_letters, depth, what)
     parent = np.arange(len(vecs))
     words = np.zeros((len(vecs), 0), dtype=np.intp)
     for length in range(depth + 1):
@@ -364,14 +364,6 @@ def _is_memoryless(t: Transducer, depth: int, tol: float) -> bool:
     canonical action prefix; the factorization check over every word then
     also catches any dependence of those marginals on earlier actions.
     """
-    em = t.emission_marginals()  # [a, y, j]
-    tr = t.transition_marginals()  # [a, i, j]
-    marg = np.empty((depth, len(t.actions) * len(t.outputs)))
-    state_dist = t.initial.copy()
-    for step in range(depth):
-        marg[step] = (em @ state_dist).reshape(-1)  # flat over (a, y)
-        state_dist = tr[0] @ state_dist  # canonical prefix: always action 0
-
     def expect(words: np.ndarray) -> np.ndarray:
         return marg[np.arange(words.shape[1]), words].prod(axis=1)
 
@@ -379,7 +371,14 @@ def _is_memoryless(t: Transducer, depth: int, tol: float) -> bool:
         [t.initial], t.kernel, depth, "memory-class check",
         keep=lambda words, vecs: (vecs.sum(axis=1) > 0.0) | (expect(words) > 0.0),
     )
-    next(levels)  # the empty word has nothing to factor
+    next(levels)  # charges the budget before the depth-long table below; nothing to factor
+    em = t.emission_marginals()  # [a, y, j]
+    tr = t.transition_marginals()  # [a, i, j]
+    marg = np.empty((depth, len(t.actions) * len(t.outputs)))
+    state_dist = t.initial.copy()
+    for step in range(depth):
+        marg[step] = (em @ state_dist).reshape(-1)  # flat over (a, y)
+        state_dist = tr[0] @ state_dist  # canonical prefix: always action 0
     return all(
         np.all(np.abs(vecs.sum(axis=1) - expect(words)) <= tol) for _, words, vecs in levels
     )

@@ -12,8 +12,11 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from vatworld.core import Alphabet, History, Transducer
+from vatworld.beliefs import BeliefState, BeliefTransducer, is_unifilar
+from vatworld.core import DEFAULT_TOL, Alphabet, History, Transducer, make_card_deck, validate
+from vatworld.errors import MspClosureError
 from vatworld.fixtures import delay_channel, mixture_hmm, parity_flip, parity_flip_redundant
+from vatworld.minimize import Partition, _emission_signature
 from vatworld.oracle import _history, _word_levels
 from vatworld.reverse import (
     MarginalTable,
@@ -331,6 +334,194 @@ def reference_sample_trajectory(t: Transducer, policy, length: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
+# Linear-scan references: greedy grouping, belief dedup and record loops
+# ---------------------------------------------------------------------------
+
+
+def scan_group_by_signature(sig: np.ndarray, tol: float) -> Partition:
+    """Greedy leader grouping in state-index order; leaders anchor each class."""
+    n = sig.shape[0]
+    leaders: list[int] = []
+    assign = [-1] * n
+    for j in range(n):
+        for ci, lead in enumerate(leaders):
+            if np.all(np.abs(sig[j] - sig[lead]) <= tol):
+                assign[j] = ci
+                break
+        else:
+            leaders.append(j)
+            assign[j] = len(leaders) - 1
+    return Partition.from_assignment(assign)
+
+
+def einsum_block_signature(t: Transducer, part: Partition) -> np.ndarray:
+    """sig[j] = flat vector of joint mass into each class per (a, y)."""
+    n = t.n
+    member = np.zeros((part.n_classes, n))
+    for ci, members in enumerate(part.classes):
+        member[ci, list(members)] = 1.0
+    block = np.einsum("ci,ayij->aycj", member, t.kernel)
+    return block.reshape(-1, n).T  # [j, (a, y, c)]
+
+
+def scan_coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
+    """Per-class greedy refinement with the scan grouping and einsum signatures."""
+    em = _emission_signature(t)
+    part = scan_group_by_signature(em, tol)
+    while True:
+        sig = np.concatenate([em, einsum_block_signature(t, part)], axis=1)
+        refined = Partition.from_classes(
+            [
+                [members[i] for i in group]
+                for members in part.classes
+                for group in scan_group_by_signature(sig[list(members)], tol).classes
+            ],
+            t.n,
+        )
+        if refined.n_classes == part.n_classes:
+            return part
+        part = refined
+
+
+def scan_build_msp(
+    t: Transducer,
+    tol: float = DEFAULT_TOL,
+    max_states: int = 1000,
+    max_depth: int = 200,
+) -> BeliefTransducer:
+    """Belief closure that compares each new belief with every known one."""
+    n_actions, n_outputs = len(t.actions), len(t.outputs)
+    start = t.initial / t.initial.sum()
+    beliefs: list[np.ndarray] = [start]
+    depth_of = [0]
+    edges: list[tuple[int, int, int, int, float]] = []
+    queue = [0]
+    head = 0
+
+    def _closure_error(msg: str) -> MspClosureError:
+        nearest = np.inf
+        for i in range(len(beliefs)):
+            for j in range(i + 1, len(beliefs)):
+                nearest = min(nearest, float(np.abs(beliefs[i] - beliefs[j]).sum()))
+        return MspClosureError(
+            f"belief closure did not terminate: {msg} "
+            f"(visited {len(beliefs)} beliefs, depth {max(depth_of)}, "
+            f"nearest pair L1 distance {nearest:.3g})",
+            visited=len(beliefs),
+            depth=max(depth_of),
+            nearest_pair_distance=nearest,
+        )
+
+    while head < len(queue):
+        bi = queue[head]
+        head += 1
+        b = beliefs[bi]
+        for a in range(n_actions):
+            for y in range(n_outputs):
+                raw = t.kernel[a, y] @ b
+                emit = float(raw.sum())
+                if emit <= tol:
+                    continue
+                new = raw / emit
+                target = None
+                for k, known in enumerate(beliefs):
+                    if float(np.abs(known - new).sum()) <= tol:
+                        target = k
+                        break
+                if target is None:
+                    if len(beliefs) >= max_states:
+                        raise _closure_error(f"more than {max_states} beliefs reached")
+                    if depth_of[bi] + 1 > max_depth:
+                        raise _closure_error(f"closure deeper than {max_depth}")
+                    beliefs.append(new)
+                    depth_of.append(depth_of[bi] + 1)
+                    target = len(beliefs) - 1
+                    queue.append(target)
+                edges.append((bi, a, y, target, emit))
+
+    k = len(beliefs)
+    kernel = np.zeros((n_actions, n_outputs, k, k))
+    for src, a, y, dst, emit in edges:
+        kernel[a, y, dst, src] += emit
+    initial = np.zeros(k)
+    initial[0] = 1.0
+    machine = Transducer(
+        f"{t.name}/beliefs",
+        [f"m{i}" for i in range(k)],
+        t.actions,
+        t.outputs,
+        kernel,
+        initial,
+    )
+    report = validate(machine, max(DEFAULT_TOL, n_outputs * tol))
+    if not report.is_valid:
+        raise RuntimeError(f"belief machine failed validation: {report}")
+    if not is_unifilar(machine, tol):
+        raise RuntimeError("belief machine is not unifilar; this is a construction bug")
+    payload = tuple(BeliefState(b) for b in beliefs)
+    return BeliefTransducer(t, machine, payload)
+
+
+def loop_is_unifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
+    """True when every (state, action, output) with emission mass has one successor."""
+    for a in range(len(t.actions)):
+        for y in range(len(t.outputs)):
+            for j in range(t.n):
+                col = t.kernel[a, y, :, j]
+                if col.sum() > tol and int(np.sum(col > tol)) != 1:
+                    return False
+    return True
+
+
+def loop_transducer_to_doc(t: Transducer) -> dict:
+    records = []
+    for j in range(t.n):
+        for a in range(len(t.actions)):
+            for y in range(len(t.outputs)):
+                for i in range(t.n):
+                    p = float(t.kernel[a, y, i, j])
+                    if p != 0.0:
+                        records.append(
+                            {
+                                "from": t.states[j],
+                                "action": t.actions.symbols[a],
+                                "output": t.outputs.symbols[y],
+                                "to": t.states[i],
+                                "prob": p,
+                            }
+                        )
+    return {
+        "name": t.name,
+        "states": list(t.states),
+        "actions": list(t.actions.symbols),
+        "outputs": list(t.outputs.symbols),
+        "initial": [float(x) for x in t.initial],
+        "kernel": records,
+    }
+
+
+def loop_reverse_records(t: Transducer, matrices: np.ndarray) -> list:
+    """The per-time backward kernel records of ``vatworld reverse --out``."""
+    records = []
+    for a in range(len(t.actions)):
+        for y in range(len(t.outputs)):
+            for i in range(t.n):
+                for j in range(t.n):
+                    p = float(matrices[a, y, i, j])
+                    if p != 0.0:
+                        records.append(
+                            {
+                                "from": t.states[j],
+                                "action": t.actions.symbols[a],
+                                "output": t.outputs.symbols[y],
+                                "to": t.states[i],
+                                "prob": p,
+                            }
+                        )
+    return records
+
+
+# ---------------------------------------------------------------------------
 # Random machine generators
 # ---------------------------------------------------------------------------
 
@@ -439,6 +630,47 @@ def random_rare_machine(rng, n=3, n_actions=2, n_outputs=2, name="random-rare") 
         kernel,
         initial / initial.sum(),
     )
+
+
+def lifted_machine(t: Transducer, rng) -> Transducer:
+    """t with each state split into two bisimilar copies: the same interface."""
+    w = rng.uniform(0.1, 0.9, t.n)
+    split = np.concatenate([w, 1.0 - w])  # share of state j's mass per copy
+    kernel = np.tile(t.kernel, (1, 1, 2, 2)) * split[:, None]
+    initial = np.tile(t.initial, 2) * split
+    states = [f"{s}{c}" for c in "ab" for s in t.states]
+    return Transducer("lifted", states, t.actions, t.outputs, kernel, initial)
+
+
+PROPERTY_KINDS = ("dense", "unifilar", "io-moore", "permutation", "deck")
+PROPERTY_TOLS = (0.0, 1e-12, 1e-9, 1e-3)
+_PROPERTY_DECKS = [
+    (reds, cards - reds, variant)
+    for cards in range(2, 7)
+    for reds in range(1, cards)
+    for variant in ("flip_shuffle", "cyclic")
+]
+
+
+def property_machine(kind: str, seed: int) -> Transducer:
+    """A seeded machine of one of PROPERTY_KINDS for the scan-reference properties.
+
+    Random kinds have 2-5 states and 1-3 actions and outputs, and every other
+    seed splits each state into two bisimilar copies, whose signatures then
+    differ by rounding alone.  Decks go up to 3R3B.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "deck":
+        return make_card_deck(*_PROPERTY_DECKS[seed % len(_PROPERTY_DECKS)])
+    build = {
+        "dense": random_transducer,
+        "unifilar": random_unifilar,
+        "io-moore": random_io_moore,
+        "permutation": random_permutation_machine,
+    }[kind]
+    n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((2, 6), (1, 4), (1, 4)))
+    t = build(rng, n=n, n_actions=n_a, n_outputs=n_y, name=kind)
+    return lifted_machine(t, rng) if seed % 2 else t
 
 
 def leak_machine(leak: float = 1e-4, mass: float = 1e-6) -> Transducer:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vatworld import io as vio
 from vatworld.beliefs import (
     BeliefState,
     build_msp,
@@ -17,7 +20,26 @@ from vatworld.core import History, Transducer, validate
 from vatworld.errors import ImpossibleHistoryError, MspClosureError, StructureError
 from vatworld.oracle import equivalent, word_probability
 
-from conftest import path_enum_posterior, positive_histories, random_io_moore, random_unifilar
+from conftest import (
+    PROPERTY_KINDS,
+    PROPERTY_TOLS,
+    loop_is_unifilar,
+    path_enum_posterior,
+    positive_histories,
+    property_machine,
+    random_io_moore,
+    random_unifilar,
+    scan_build_msp,
+)
+
+
+def _closure(build, t, tol):
+    """The belief machine's document and payloads, or the refusal it raised."""
+    try:
+        msp = build(t, tol, max_states=60)
+    except (MspClosureError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+    return vio.dumps(vio.transducer_to_doc(msp.machine)), [b.weights.tolist() for b in msp.state_payload]
 
 
 class TestBeliefState:
@@ -136,6 +158,27 @@ class TestIsUnifilar:
         for _ in range(5):
             assert is_unifilar(random_unifilar(rng))
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(PROPERTY_KINDS),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_same_verdict_as_the_column_loop(self, seed, kind, tol):
+        t = property_machine(kind, seed)
+        assert is_unifilar(t, tol) == loop_is_unifilar(t, tol)
+
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS)
+    def test_column_sums_at_tol_match_the_column_loop(self, tol):
+        # Twelve equal shares sum to tol up to rounding, on either side of it.
+        n = 12
+        for share in (tol / n, np.nextafter(tol / n, 0.0), np.nextafter(tol / n, 1.0), 0.1 / 3):
+            kernel = np.zeros((1, 1, n, n))
+            kernel[0, 0, :, 0] = share
+            kernel[0, 0, 0, 1:] = 1.0
+            t = Transducer("ties", [f"s{k}" for k in range(n)], ["a"], ["y"], kernel, np.eye(n)[0])
+            assert is_unifilar(t, tol) == loop_is_unifilar(t, tol)
+
 
 class TestBuildMsp:
     def test_parity_flip_reproduces_itself(self, fix_a):
@@ -187,6 +230,16 @@ class TestBuildMsp:
             assert is_faithful(msp, t, depth=6, tol=1e-8)
             closed += 1
         assert closed == 20
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(PROPERTY_KINDS),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_same_machine_or_refusal_as_the_linear_scan(self, seed, kind, tol):
+        t = property_machine(kind, seed)
+        assert _closure(build_msp, t, tol) == _closure(scan_build_msp, t, tol)
 
     def test_belief_simplex_closure(self, fix_b, fix_c):
         for t in (fix_b, fix_c):

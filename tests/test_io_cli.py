@@ -5,16 +5,25 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vatworld import io as vio
+from vatworld.beliefs import build_msp
 from vatworld.cli import run
-from vatworld.core import History, make_card_deck
+from vatworld.core import History, Transducer, make_card_deck
 from vatworld.errors import StructureError
 from vatworld.fixtures import ALL_FIXTURES
 from vatworld.linalg_reduce import reduce_generalized
 from vatworld.oracle import equivalent
 
-from conftest import pair_machine
+from conftest import (
+    PROPERTY_KINDS,
+    loop_reverse_records,
+    loop_transducer_to_doc,
+    pair_machine,
+    property_machine,
+)
 
 
 def _all_machines():
@@ -41,6 +50,26 @@ class TestTransducerFormat:
         doc = vio.transducer_to_doc(fix_a)
         assert len(doc["kernel"]) == 4  # one deterministic record per (a, s)
         assert all(rec["prob"] != 0.0 for rec in doc["kernel"])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(PROPERTY_KINDS))
+    def test_records_are_the_loop_records(self, seed, kind):
+        t = property_machine(kind, seed)
+        machines = [t, build_msp(t).machine] if kind in ("deck", "unifilar") else [t]
+        for m in machines:
+            assert vio.dumps(vio.transducer_to_doc(m)) == vio.dumps(loop_transducer_to_doc(m))
+            for matrices in (m.kernel, m.kernel.transpose(0, 1, 3, 2)):
+                got = vio.kernel_records(m, matrices, walk=(0, 1, 2, 3))
+                assert vio.dumps(got) == vio.dumps(loop_reverse_records(m, matrices))
+
+    def test_signed_zero_nan_and_inf_entries_walk_like_the_loop(self):
+        kernel = np.zeros((2, 1, 3, 3))
+        kernel[0, 0] = [[-0.0, np.nan, 0.5], [np.inf, 0.0, -np.inf], [1e-320, -0.0, 0.5]]
+        kernel[1, 0, 2, 1] = -0.0
+        t = Transducer("odd", ["a", "b", "c"], ["x", "y"], ["o"], kernel, [1.0, 0.0, 0.0])
+        assert vio.dumps(vio.transducer_to_doc(t)) == vio.dumps(loop_transducer_to_doc(t))
+        got = vio.kernel_records(t, kernel, walk=(0, 1, 2, 3))
+        assert vio.dumps(got) == vio.dumps(loop_reverse_records(t, kernel))
 
     def test_unknown_state_rejected_with_location(self, fix_a):
         doc = vio.transducer_to_doc(fix_a)
@@ -168,6 +197,24 @@ class TestCli:
         assert code == 2
         assert report.verdicts[-1]["name"] == "error"
         assert report.artifacts == []
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["info", "parity-flip", "--depth", "600"], "memory-class check"),
+            (["epsilon", "parity-flip", "--from-histories", "--hist-depth", "600"], "history clustering"),
+        ],
+        ids=["info-depth", "epsilon-hist-depth"],
+    )
+    def test_depth_past_the_float_range_is_refused(self, machine_files, argv, what):
+        # 4**600 words overflow a float; the budget must refuse, not raise.
+        code, report = run([machine_files.get(a, a) for a in argv])
+        assert code == 2
+        assert report.verdicts[-1] == {
+            "name": "error",
+            "value": f"{what} would visit 1*4**600 ~1.72e+361 words, over the budget of "
+            "10000000; raise VATWORLD_BUDGET to proceed",
+        }
 
     def test_validate_malformed_file_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -2,15 +2,70 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vatworld.beliefs import build_msp
 from vatworld.core import make_card_deck, validate
 from vatworld.epsilon import is_isomorphic
 from vatworld.errors import PartitionError
-from vatworld.minimize import Partition, coarsest_bisimulation, minimize_bisim, quotient
+from vatworld.minimize import (
+    Partition,
+    _block_signature,
+    _TolIndex,
+    coarsest_bisimulation,
+    minimize_bisim,
+    quotient,
+)
 from vatworld.oracle import equivalent
 
-from conftest import random_transducer
+from conftest import (
+    PROPERTY_KINDS,
+    PROPERTY_TOLS,
+    einsum_block_signature,
+    property_machine,
+    random_transducer,
+    scan_coarsest_bisimulation,
+)
+
+
+def _within_l1(tol):
+    return lambda u, v: float(np.abs(u - v).sum()) <= tol
+
+
+def _within_max(tol):
+    return lambda u, v: bool(np.all(np.abs(u - v) <= tol))
+
+
+def _scan_first(rows, within, groups):
+    """Each row joins the first kept row of its group that passes ``within``, or is kept."""
+    kept, out = [], []
+    for j, row in enumerate(rows):
+        match = next((k for k in kept if groups[k] == groups[j] and within(rows[k], row)), None)
+        if match is None:
+            kept.append(j)
+        out.append(j if match is None else match)
+    return out
+
+
+def _index_first(rows, tol, within, groups):
+    """The same assignment, with candidates looked up in a _TolIndex."""
+    index = _TolIndex(rows.shape[1], tol)
+    out = []
+    for j, key in enumerate(index.project(rows)):
+        match = next((k for k in index.candidates(key, groups[j]) if within(rows[k], rows[j])), None)
+        if match is None:
+            index.add(j, key, groups[j])
+        out.append(j if match is None else match)
+    return out
+
+
+def _assert_index_matches_the_scan(rows, tol):
+    rows = np.asarray(rows, dtype=float)
+    for groups in ([0] * len(rows), [j % 2 for j in range(len(rows))]):
+        for within in (_within_l1(tol), _within_max(tol)):
+            with np.errstate(invalid="ignore"):  # inf - inf in the distance tests
+                assert _index_first(rows, tol, within, groups) == _scan_first(rows, within, groups)
 
 
 class TestPartition:
@@ -27,6 +82,80 @@ class TestPartition:
 
     def test_discrete(self):
         assert Partition.discrete(3).is_discrete()
+
+
+class TestTolIndex:
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS)
+    def test_rows_exactly_tol_apart(self, tol):
+        base = np.array([0.3, 0.2, 0.5])
+        steps = np.array([[1, 0, 0], [0, -1, 0], [0.5, -0.5, 0], [1, -1, 0], [0, 0, 2]])
+        rows = [base + k * tol * d for d in steps for k in (3, 0, 1, 2, -1)]
+        _assert_index_matches_the_scan(rows, tol)
+
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS)
+    def test_rows_straddling_a_cell_boundary(self, tol):
+        rng = np.random.default_rng(5)
+        index = _TolIndex(4, tol)
+        rows = []
+        for _ in range(4):
+            base = rng.random(4)
+            (p, _), = index.project(base[None])
+            near = base + (np.floor(p / index._pitch) + 1) * index._pitch - p
+            for off in (-0.6, -0.4, 0.0, 0.4, 0.6):
+                for ulps in (-2, 0, 2):
+                    rows.append(near + off * tol + ulps * np.spacing(near))
+        _assert_index_matches_the_scan(rows, tol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9])
+    def test_twins_whose_projections_round_apart_across_a_boundary(self, tol):
+        # u and u + tol pass the max-norm test, yet their projections differ
+        # by a little more than tol with a cell boundary in the gap: only the
+        # rounding term of the probe radius finds the twin.
+        rng = np.random.default_rng(5)
+        index = _TolIndex(4, tol)
+        rows = []
+        while len(rows) < 8:
+            base = rng.random(4)
+            (p, _), = index.project(base[None])
+            near = base + (np.floor(p / index._pitch) + 1) * index._pitch - p
+            for ulps in range(-3, 4):
+                u = near + ulps * np.spacing(near)
+                (pu, _), (pv, _) = index.project(np.array([u, u + tol]))
+                apart = np.floor(pu / index._pitch) < np.floor((pv - tol) / index._pitch)
+                if apart and np.all(np.abs(u - (u + tol)) <= tol):
+                    rows += [u, u + tol]
+        _assert_index_matches_the_scan(rows, tol)
+
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS + (np.inf, np.nan, -1e-9, -0.0))
+    def test_rows_with_nan_or_inf(self, tol):
+        base = np.array([0.25, 0.25, 0.5])
+        odd = [np.nan, np.inf, -np.inf]
+        rows = [base]
+        for k, bad in enumerate(odd * 2):
+            row = base.copy()
+            row[k % 3] = bad
+            rows += [row, base + tol / 2]
+        rows += [np.full(3, np.nan), np.full(3, np.inf), base]
+        _assert_index_matches_the_scan(rows, tol)
+
+    def test_rows_far_beyond_unit_magnitude(self):
+        rows = [np.array([1e300, 1.0]), np.array([1e300, 1.0]), np.array([3e300, -1e300]), np.zeros(2)]
+        for tol in PROPERTY_TOLS:
+            _assert_index_matches_the_scan(rows, tol)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from(PROPERTY_TOLS),
+        dim=st.integers(1, 6),
+    )
+    def test_lattice_rows_with_rounding_jitter(self, seed, tol, dim):
+        # Rows on a lattice of half-tol steps, nudged by a few ulps, make
+        # every distance a near-tie of tol.
+        rng = np.random.default_rng(seed)
+        lattice = rng.integers(-3, 4, size=(32, dim)) * (tol / 2) + rng.random(dim)
+        rows = lattice + rng.integers(-2, 3, size=lattice.shape) * np.spacing(lattice)
+        _assert_index_matches_the_scan(rows, tol)
 
 
 class TestCoarsestBisimulation:
@@ -59,6 +188,30 @@ class TestCoarsestBisimulation:
         for _ in range(10):
             t = random_transducer(rng, n=4)
             assert coarsest_bisimulation(t).is_discrete()
+
+
+class TestRefinementMatchesTheScan:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(PROPERTY_KINDS),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_partition_is_the_scan_partition(self, seed, kind, tol):
+        t = property_machine(kind, seed)
+        machines = [t]
+        if kind in ("deck", "unifilar"):
+            machines.append(build_msp(t).machine)
+        for m in machines:
+            assert coarsest_bisimulation(m, tol) == scan_coarsest_bisimulation(m, tol)
+
+    def test_block_signature_is_bit_identical_on_unifilar_machines(self):
+        beliefs = build_msp(make_card_deck(3, 3, "flip_shuffle")).machine
+        part = coarsest_bisimulation(beliefs)
+        for p in (part, Partition.discrete(beliefs.n), Partition.from_assignment([0] * beliefs.n)):
+            np.testing.assert_array_equal(
+                _block_signature(beliefs, p), einsum_block_signature(beliefs, p)
+            )
 
 
 class TestQuotient:

@@ -28,6 +28,7 @@ from vatworld.oracle import (
 
 from conftest import (
     all_histories,
+    lifted_machine,
     path_enum_probability,
     positive_histories,
     random_io_moore,
@@ -250,16 +251,6 @@ class TestEquivalent:
             memory_class(fix_a, depth=4)
 
 
-def _lifted(t, rng):
-    """t with each state split into two bisimilar copies: the same interface."""
-    w = rng.uniform(0.1, 0.9, t.n)
-    split = np.concatenate([w, 1.0 - w])  # share of state j's mass per copy
-    kernel = np.tile(t.kernel, (1, 1, 2, 2)) * split[:, None]
-    initial = np.tile(t.initial, 2) * split
-    states = [f"{s}{c}" for c in "ab" for s in t.states]
-    return Transducer("lifted", states, t.actions, t.outputs, kernel, initial)
-
-
 def _rerouted(t, rng):
     """t with new landing states but the same per-state emission laws."""
     emission = t.kernel.sum(axis=2, keepdims=True)
@@ -289,10 +280,10 @@ class TestEquivalentAgainstBruteForce:
         n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((2, 4), (1, 3), (1, 4)))
         t = random_transducer(rng, n=n, n_actions=n_a, n_outputs=n_y)
         if kind == "minimized":
-            big = _lifted(t, rng)
+            big = lifted_machine(t, rng)
             pair = (big, minimize_bisim(big))
         elif kind == "lifted":
-            pair = (t, _lifted(t, rng))
+            pair = (t, lifted_machine(t, rng))
         elif kind == "reduced":
             pair = (reduce_generalized(t), t)
         elif kind == "rerouted":
