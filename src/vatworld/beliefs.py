@@ -165,10 +165,11 @@ def build_msp(
     head = 0
 
     def _closure_error(msg: str) -> MspClosureError:
-        nearest = np.inf
-        for i in range(len(beliefs)):
-            for j in range(i + 1, len(beliefs)):
-                nearest = min(nearest, float(np.abs(beliefs[i] - beliefs[j]).sum()))
+        known = np.array(beliefs)
+        nearest = min(
+            (float(np.abs(known[i + 1 :] - b).sum(axis=1).min()) for i, b in enumerate(known[:-1])),
+            default=np.inf,
+        )
         return MspClosureError(
             f"belief closure did not terminate: {msg} "
             f"(visited {len(beliefs)} beliefs, depth {max(depth_of)}, "

@@ -206,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("smooth", help="state posteriors at every time of a trace")
     p.add_argument("file")
     p.add_argument("--trace", required=True, help="history file (actions + outputs)")
-    p.add_argument("--policy", default="uniform", help="accepted for symmetry; smoothing conditions on the trace")
 
     p = sub.add_parser("fixtures", help="write the bundled example machines to files")
     p.add_argument("--dir", default=".")

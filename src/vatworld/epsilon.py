@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import budget
 from .core import DEFAULT_TOL, History, Transducer
 from .beliefs import build_msp, is_unifilar
 from .errors import StructureError
-from .minimize import coarsest_bisimulation, minimize_bisim
-from .oracle import _history, _positive, _word_levels, equivalent, word_probability
+from .minimize import _split_by_signature, coarsest_bisimulation, minimize_bisim
+from .oracle import _history, _positive, _word_levels, equivalent
 
 
 @dataclass(frozen=True)
@@ -105,68 +106,65 @@ def epsilon_from_histories(
     if future_depth < 0:
         raise StructureError("future_depth must be at least 0")
 
-    # Positive-probability histories by length, with their forward vectors.
+    # Positive-probability histories by length, with their forward vectors,
+    # and (child id, parent id, last letter) for every history but the empty one.
     histories: list[History] = []
-    lengths: list[int] = []
-    vecs_of: list[np.ndarray] = []
+    vecs_of, links = [], []
     levels = _word_levels([t.initial], t.kernel, hist_depth, "history clustering", _positive)
-    for length, (_, words, vecs) in enumerate(levels):
-        rows = _positive(words, vecs)
+    for parent, words, vecs in levels:
+        n_shallow = len(histories)  # ends as the count of histories below hist_depth
+        rows = np.flatnonzero(_positive(words, vecs))
+        child = n_shallow + np.arange(len(rows))
+        if words.shape[1]:
+            links.append((child, ids[parent[rows]], words[rows, -1]))
+        ids = np.full(len(words), -1)  # each row's history id, -1 if not positive
+        ids[rows] = child
         histories += [_history(t, word) for word in words[rows]]
-        lengths += [length] * int(rows.sum())
         vecs_of.append(vecs[rows])
+    vecs = np.concatenate(vecs_of)
+    mass = vecs.sum(axis=1)
 
     # Signature: the conditional probability of every future word up to
-    # future_depth, level by level in alphabet order, from one batched walk.
-    starts = np.concatenate(vecs_of)
-    starts /= starts.sum(axis=1, keepdims=True)
-    futures = _word_levels(starts, t.kernel, future_depth, "history clustering")
-    next(futures)
-    sigs = np.concatenate(
-        [np.zeros((len(starts), 0))]
-        + [vecs.sum(axis=1).reshape(len(starts), -1) for _, _, vecs in futures],
-        axis=1,
+    # future_depth.  It is F @ b for the normalised forward vector b, where F
+    # stacks the rows 1^T M(w) of one transposed walk; their order is
+    # immaterial to the max-norm distance and to the index.  Histories
+    # sharing b share the signature, so each distinct b is multiplied once.
+    # The charge is that of walking every future from every history.
+    n_letters = len(t.actions) * len(t.outputs)
+    budget.check(len(histories), n_letters, future_depth, "history clustering")
+    f_levels = _word_levels(
+        [np.ones(t.n)], t.kernel.transpose(0, 1, 3, 2), future_depth, "history clustering"
     )
+    next(f_levels)
+    f = np.concatenate([np.zeros((0, t.n))] + [rows for _, _, rows in f_levels])
+    beliefs, sig_of = np.unique(vecs / mass[:, None], axis=0, return_inverse=True)
+    sig_of = sig_of.ravel()
+    sigs = beliefs @ f.T
 
-    # Cluster histories of length < hist_depth; the deepest level only tests
-    # stabilization and supplies transition targets.
-    rep_rows: list[int] = []
-    classes: list[list[History]] = []
-    class_of: dict[History, int] = {}
-    stabilized = True
-    for row, (h, length) in enumerate(zip(histories, lengths)):
-        dists = np.max(np.abs(sigs[rep_rows] - sigs[row]), axis=1, initial=0.0)
-        if length < hist_depth:
-            match = np.flatnonzero(dists <= tol)
-            if match.size:
-                ci = int(match[0])
-            else:
-                rep_rows.append(row)
-                classes.append([])
-                ci = len(classes) - 1
-        else:
-            ci = int(np.argmin(dists))
-            if dists[ci] > tol:
-                stabilized = False
+    # Cluster histories of length < hist_depth by leader, in history order;
+    # each deepest history only joins its nearest representative, testing
+    # stabilization and supplying transition targets.
+    part = _split_by_signature(sigs[sig_of[:n_shallow]], tol, [0] * n_shallow)
+    reps = [members[0] for members in part.classes]
+    dists = np.column_stack(
+        [np.abs(sigs - sigs[sig_of[r]]).max(axis=1, initial=0.0) for r in reps]
+    )[sig_of[n_shallow:]]
+    stabilized = not np.any(dists.min(axis=1) > tol)
+    class_of = np.concatenate([part.class_of, dists.argmin(axis=1)]).astype(np.intp)
+    k = len(reps)
+    classes: list[list[History]] = [[] for _ in range(k)]
+    for h, ci in zip(histories, class_of):
         classes[ci].append(h)
-        class_of[h] = ci
-    rep_history = [histories[row] for row in rep_rows]
 
-    # Induced machine: transitions from each class representative.
-    k = len(classes)
-    n_actions, n_outputs = len(t.actions), len(t.outputs)
-    kernel = np.zeros((n_actions, n_outputs, k, k))
-    for ci, rep in enumerate(rep_history):
-        p_rep = word_probability(t, rep)
-        for a in range(n_actions):
-            for y in range(n_outputs):
-                ext = rep.extended(t.actions.symbols[a], t.outputs.symbols[y])
-                p_ext = word_probability(t, ext)
-                if p_ext <= 1e-12:
-                    continue
-                kernel[a, y, class_of[ext], ci] = p_ext / p_rep
+    # Induced machine: each representative's positive one-letter extensions.
+    child, parent, letter = (np.concatenate(col) for col in zip(*links))
+    from_rep = np.isin(parent, reps)
+    child, parent, letter = child[from_rep], parent[from_rep], letter[from_rep]
+    a, y = np.divmod(letter, len(t.outputs))
+    kernel = np.zeros((len(t.actions), len(t.outputs), k, k))
+    kernel[a, y, class_of[child], class_of[parent]] = mass[child] / mass[parent]
     initial = np.zeros(k)
-    initial[class_of[History.empty()]] = 1.0
+    initial[class_of[0]] = 1.0
     machine = Transducer(
         f"{t.name}/history-classes",
         [f"c{i}" for i in range(k)],

@@ -137,16 +137,7 @@ _NEGLIGIBLE = 1e-12
 
 def is_action_counifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
     """True when (next state, action) pins down the previous state."""
-    tr = t.transition_marginals()  # [a, to, from]
-    for a in range(len(t.actions)):
-        for i in range(t.n):
-            if int(np.sum(tr[a, i, :] > tol)) > 1:
-                return False
-    return True
-
-
-def _is_action_agnostic(t: Transducer, tol: float) -> bool:
-    return bool(np.all(np.abs(t.kernel - t.kernel[0]) <= tol))
+    return bool(np.all(np.sum(t.transition_marginals() > tol, axis=2) <= 1))
 
 
 def check_reversible(
@@ -155,9 +146,7 @@ def check_reversible(
     """Can the state chain be reversed using only (next state, current action)?
 
     The test conditions on exogenous action sequences, so no policy plays a
-    role.  Structural fast paths (single state, identical kernels across
-    actions, unique predecessor per action) decide without a walk.  Otherwise,
-    at every time tau < horizon, the previous-state conditionals given
+    role.  At every time tau < horizon, the previous-state conditionals given
     (action a, next state i) are compared across action prefixes: the first
     prefix reaching (a, i) sets the reference, and a later one that differs
     from it by more than tol is the witness.
@@ -187,12 +176,6 @@ def check_reversible(
     """
     if horizon < 0:
         raise StructureError(f"horizon must be at least 0, got {horizon}")
-    if t.n == 1:
-        return ReversibilityVerdict(True, "single-state", horizon)
-    if _is_action_agnostic(t, tol):
-        return ReversibilityVerdict(True, "action-agnostic", horizon)
-    if is_action_counifilar(t, tol):
-        return ReversibilityVerdict(True, "action-counifilar", horizon)
     tr = t.transition_marginals()
     step = tr.reshape(-1, t.n).T  # row vector @ step = the marginal after each action
     prefixes, m = [()], t.initial[None, :]

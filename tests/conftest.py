@@ -14,10 +14,11 @@ import pytest
 
 from vatworld.beliefs import BeliefState, BeliefTransducer, is_unifilar
 from vatworld.core import DEFAULT_TOL, Alphabet, History, Transducer, make_card_deck, validate
-from vatworld.errors import MspClosureError
+from vatworld.epsilon import HistoryClustering
+from vatworld.errors import MspClosureError, StructureError
 from vatworld.fixtures import delay_channel, mixture_hmm, parity_flip, parity_flip_redundant
 from vatworld.minimize import Partition, _emission_signature
-from vatworld.oracle import _history, _word_levels
+from vatworld.oracle import _history, _positive, _word_levels, word_probability
 from vatworld.reverse import (
     MarginalTable,
     ReversibilityVerdict,
@@ -222,7 +223,7 @@ def path_enum_reverse_generates(t: Transducer, policy, horizon: int = 4, tol: fl
 
 
 def exhaustive_check_reversible(t: Transducer, horizon: int = 4, tol: float = 1e-9):
-    """The reversibility verdict over every action prefix, past the fast paths.
+    """The reversibility verdict over every action prefix.
 
     This is the comparison loop of ``check_reversible`` before it kept only
     the prefixes that grow each level's span, kept verbatim; it walks |A|^tau
@@ -334,7 +335,8 @@ def reference_sample_trajectory(t: Transducer, policy, length: int, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# Linear-scan references: greedy grouping, belief dedup and record loops
+# Linear-scan references: greedy grouping, belief dedup, history clustering
+# and record loops
 # ---------------------------------------------------------------------------
 
 
@@ -460,6 +462,103 @@ def scan_build_msp(
         raise RuntimeError("belief machine is not unifilar; this is a construction bug")
     payload = tuple(BeliefState(b) for b in beliefs)
     return BeliefTransducer(t, machine, payload)
+
+
+def scan_epsilon_from_histories(
+    t: Transducer, hist_depth: int, future_depth: int, tol: float = DEFAULT_TOL
+) -> HistoryClustering:
+    """Cluster positive-probability histories by bounded-future equivalence.
+
+    Histories agree when their conditional distributions over all futures of
+    length <= future_depth match within tol.  The induced machine's states are
+    the classes, with transitions read off one-step history extensions.  The
+    ``stabilized`` flag reports whether the class count stopped growing over
+    the last two history lengths; when a deepest-level extension matches no
+    existing class, the flag drops and the extension is attached to the
+    nearest class by signature distance.
+    """
+    if hist_depth < 1:
+        raise StructureError("hist_depth must be at least 1")
+    if future_depth < 0:
+        raise StructureError("future_depth must be at least 0")
+
+    # Positive-probability histories by length, with their forward vectors.
+    histories: list[History] = []
+    lengths: list[int] = []
+    vecs_of: list[np.ndarray] = []
+    levels = _word_levels([t.initial], t.kernel, hist_depth, "history clustering", _positive)
+    for length, (_, words, vecs) in enumerate(levels):
+        rows = _positive(words, vecs)
+        histories += [_history(t, word) for word in words[rows]]
+        lengths += [length] * int(rows.sum())
+        vecs_of.append(vecs[rows])
+
+    # Signature: the conditional probability of every future word up to
+    # future_depth, level by level in alphabet order, from one batched walk.
+    starts = np.concatenate(vecs_of)
+    starts /= starts.sum(axis=1, keepdims=True)
+    futures = _word_levels(starts, t.kernel, future_depth, "history clustering")
+    next(futures)
+    sigs = np.concatenate(
+        [np.zeros((len(starts), 0))]
+        + [vecs.sum(axis=1).reshape(len(starts), -1) for _, _, vecs in futures],
+        axis=1,
+    )
+
+    # Cluster histories of length < hist_depth; the deepest level only tests
+    # stabilization and supplies transition targets.
+    rep_rows: list[int] = []
+    classes: list[list[History]] = []
+    class_of: dict[History, int] = {}
+    stabilized = True
+    for row, (h, length) in enumerate(zip(histories, lengths)):
+        dists = np.max(np.abs(sigs[rep_rows] - sigs[row]), axis=1, initial=0.0)
+        if length < hist_depth:
+            match = np.flatnonzero(dists <= tol)
+            if match.size:
+                ci = int(match[0])
+            else:
+                rep_rows.append(row)
+                classes.append([])
+                ci = len(classes) - 1
+        else:
+            ci = int(np.argmin(dists))
+            if dists[ci] > tol:
+                stabilized = False
+        classes[ci].append(h)
+        class_of[h] = ci
+    rep_history = [histories[row] for row in rep_rows]
+
+    # Induced machine: transitions from each class representative.
+    k = len(classes)
+    n_actions, n_outputs = len(t.actions), len(t.outputs)
+    kernel = np.zeros((n_actions, n_outputs, k, k))
+    for ci, rep in enumerate(rep_history):
+        p_rep = word_probability(t, rep)
+        for a in range(n_actions):
+            for y in range(n_outputs):
+                ext = rep.extended(t.actions.symbols[a], t.outputs.symbols[y])
+                p_ext = word_probability(t, ext)
+                if p_ext <= 1e-12:
+                    continue
+                kernel[a, y, class_of[ext], ci] = p_ext / p_rep
+    initial = np.zeros(k)
+    initial[class_of[History.empty()]] = 1.0
+    machine = Transducer(
+        f"{t.name}/history-classes",
+        [f"c{i}" for i in range(k)],
+        t.actions,
+        t.outputs,
+        kernel,
+        initial,
+    )
+    return HistoryClustering(
+        tuple(tuple(c) for c in classes),
+        machine,
+        stabilized,
+        hist_depth,
+        future_depth,
+    )
 
 
 def loop_is_unifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
@@ -743,7 +842,7 @@ def rank_cap_machine(rare: float = 1e-8, leak: float = 1e-7) -> Transducer:
 
 
 def pair_machine() -> Transducer:
-    """A reversible 4-state, 3-action machine that no structural fast path takes.
+    """A reversible 4-state, 3-action machine, neither action-agnostic nor action-counifilar.
 
     States p0, p1 form pair P and q0, q1 pair Q.  Action "stay" keeps the
     pair, "swap" and "coin" exchange the pairs, and each moves to either state

@@ -210,7 +210,7 @@ def test_criterion_6_reversibility():
     for t in (fa, cyc):
         fast = check_reversible(t, horizon=4, tol=1e-9)
         full = exhaustive_check_reversible(t, horizon=4, tol=1e-9)
-        ok = ok and fast.reversible and fast.route == "action-counifilar" and full.reversible
+        ok = ok and fast.reversible and fast.route == "level-span" and full.reversible
         res = path_enum_reverse_generates(t, UNIFORM, horizon=4, tol=1e-9)
         ok = ok and res.ok and res.max_deviation <= 1e-9
     for t, horizon in ((fd, 3), (flip, 3)):

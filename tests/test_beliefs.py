@@ -201,6 +201,14 @@ class TestBuildMsp:
         assert err.value.visited == 200
         assert err.value.nearest_pair_distance > 0
 
+    def test_nearest_pair_is_the_pair_loops(self, fix_c):
+        with pytest.raises(MspClosureError) as got:
+            build_msp(fix_c, max_states=200)
+        with pytest.raises(MspClosureError) as ref:
+            scan_build_msp(fix_c, max_states=200)
+        assert got.value.nearest_pair_distance == ref.value.nearest_pair_distance
+        assert str(got.value) == str(ref.value)
+
     def test_faithful_on_fixtures(self, fix_a, fix_b):
         assert is_faithful(build_msp(fix_a), fix_a, depth=8)
         assert is_faithful(build_msp(fix_b), fix_b, depth=8)

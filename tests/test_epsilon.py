@@ -1,10 +1,17 @@
 """Minimal predictive machines: belief route, history route, and isomorphism."""
 
+import itertools
+import math
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vatworld.beliefs import build_msp, is_unifilar
-from vatworld.core import make_card_deck
+from vatworld.core import Alphabet, Transducer, make_card_deck
 from vatworld.epsilon import (
     canonical_form,
     check_predictive,
@@ -12,11 +19,101 @@ from vatworld.epsilon import (
     epsilon_transducer,
     is_isomorphic,
 )
-from vatworld.errors import StructureError
+from vatworld.errors import BudgetExceededError, StructureError
 from vatworld.minimize import coarsest_bisimulation, minimize_bisim
-from vatworld.oracle import equivalent
+from vatworld.oracle import equivalent, forward_vector
 
-from conftest import random_unifilar
+from conftest import (
+    random_io_moore,
+    random_permutation_machine,
+    random_rare_machine,
+    random_transducer,
+    random_unifilar,
+    scan_epsilon_from_histories,
+)
+
+CLUSTERING_KINDS = [
+    random_transducer,
+    random_unifilar,
+    random_io_moore,
+    random_permutation_machine,
+    random_rare_machine,
+]
+
+
+def clustering_outcome(fn, t, hist_depth, future_depth, tol):
+    """The clustering, or the budget refusal it raised."""
+    try:
+        return fn(t, hist_depth, future_depth, tol)
+    except BudgetExceededError as err:
+        return err
+
+
+def assert_same_clustering(got, ref):
+    """Same classes, flag and state count; kernel entries within 1e-15."""
+    assert got.classes == ref.classes
+    assert got.stabilized == ref.stabilized
+    assert got.machine.n == ref.machine.n
+    assert np.array_equal(got.machine.initial, ref.machine.initial)
+    assert np.max(np.abs(got.machine.kernel - ref.machine.kernel)) <= 1e-15
+
+
+def rounding_tie(t, clustering, tol) -> bool:
+    """Whether a decision of the clustering rests on the last bits of a signature.
+
+    Histories whose normalised forward vectors differ get signatures whose
+    rounding depends on how they are computed (a future walk per history, or
+    one future matrix).  A decision is exposed to it when such a pair, a
+    history of length below hist_depth being one of them, lies within 1e-12
+    of tol, or when a deepest history has representatives of different
+    vectors within 1e-12 of its nearest one.  Every signature of a machine
+    with one output is 1, so at tol 0 or nan its classes always are.
+    """
+    histories = [h for members in clustering.classes for h in members]
+    n_outputs = len(t.outputs)
+    words = [
+        word
+        for length in range(1, clustering.future_depth + 1)
+        for word in itertools.product(range(len(t.actions) * n_outputs), repeat=length)
+    ]
+    if not words:
+        return False
+    rows = []
+    for word in words:
+        row = np.ones(t.n)
+        for x in reversed(word):
+            row = row @ t.kernel[divmod(x, n_outputs)]
+        rows.append(row)
+    b = np.array([forward_vector(t, h) for h in histories])
+    b /= b.sum(axis=1, keepdims=True)
+    sigs = b @ np.array(rows).T
+    dist = np.column_stack([np.abs(sigs - row).max(axis=1) for row in sigs])
+    differ = np.column_stack([np.any(b != row, axis=1) for row in b])
+    shallow = [r for r, h in enumerate(histories) if len(h) < clustering.hist_depth]
+    if np.any((differ & (np.abs(dist - tol) <= 1e-12))[:, shallow]):
+        return True
+    reps = [histories.index(members[0]) for members in clustering.classes]
+    for r, h in enumerate(histories):
+        if len(h) == clustering.hist_depth:
+            near = dist[r, reps] <= dist[r, reps].min() + 1e-12
+            if len({b[q].tobytes() for q in np.array(reps)[near]}) > 1:
+                return True
+    return False
+
+
+def chain_machine() -> Transducer:
+    """One action; the state counts outputs up to two, then stays.
+
+    The next output is "0" with probability 0.5, 0.65 and 0.59 after none,
+    one and two or more outputs, so at tol 0.1 the histories of length two
+    lie within tol of both representatives and nearest to the second.
+    """
+    kernel = np.zeros((1, 2, 3, 3))
+    for j, p0 in enumerate((0.5, 0.65, 0.59)):
+        kernel[0, 0, min(j + 1, 2), j] = p0
+        kernel[0, 1, min(j + 1, 2), j] = 1.0 - p0
+    states = ["s0", "s1", "s2"]
+    return Transducer("chain", states, Alphabet(["a"]), Alphabet(["0", "1"]), kernel, [1, 0, 0])
 
 
 class TestEpsilonTransducer:
@@ -99,6 +196,58 @@ class TestEpsilonFromHistories:
             hc = epsilon_from_histories(t, hd, fd)
             assert validate(hc.machine).is_valid
             assert equivalent(hc.machine, t, depth=5, tol=1e-9).equivalent
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(CLUSTERING_KINDS),
+        n=st.integers(1, 5),
+        n_a=st.integers(1, 3),
+        n_y=st.integers(1, 3),
+        hist_depth=st.integers(1, 4),
+        future_depth=st.integers(0, 3),
+        tol=st.sampled_from([0.0, 1e-12, 1e-9, 1e-3, math.nan]),
+    )
+    def test_same_clustering_as_the_scan(
+        self, seed, kind, n, n_a, n_y, hist_depth, future_depth, tol
+    ):
+        # A budget of 5000 words keeps the scan's per-history future walks
+        # small; inputs over it must be refused alike.
+        rng = np.random.default_rng(seed)
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        with mock.patch.dict(os.environ, {"VATWORLD_BUDGET": "5000"}):
+            ref = clustering_outcome(scan_epsilon_from_histories, t, hist_depth, future_depth, tol)
+            got = clustering_outcome(epsilon_from_histories, t, hist_depth, future_depth, tol)
+        if isinstance(ref, BudgetExceededError):
+            assert type(got) is type(ref) and str(got) == str(ref)
+        elif not rounding_tie(t, ref, tol):
+            assert_same_clustering(got, ref)
+
+    def test_deepest_history_joins_the_nearest_representative(self):
+        t = chain_machine()
+        hc = epsilon_from_histories(t, hist_depth=2, future_depth=1, tol=0.1)
+        ref = scan_epsilon_from_histories(t, 2, 1, 0.1)
+        assert_same_clustering(hc, ref)
+        assert [len(members) for members in hc.classes] == [1, 6]
+        assert hc.stabilized
+        # the first representative is within tol too, but farther
+        assert [len(h) for h in hc.classes[1]] == [1, 1, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "cap, words",
+        [
+            ("100", "~256"),  # the 4**4 history words
+            ("300", "~1.98e+03"),  # the 31 positive histories times 4**3 futures
+        ],
+    )
+    def test_budget_refusals_are_the_scans(self, fix_a, monkeypatch, cap, words):
+        monkeypatch.setenv("VATWORLD_BUDGET", cap)
+        with pytest.raises(BudgetExceededError) as ref:
+            scan_epsilon_from_histories(fix_a, 4, 3, 1e-9)
+        with pytest.raises(BudgetExceededError) as got:
+            epsilon_from_histories(fix_a, 4, 3, 1e-9)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith(f"history clustering would visit {words} words")
 
 
 class TestCheckPredictive:

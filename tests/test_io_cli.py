@@ -216,6 +216,13 @@ class TestCli:
             "10000000; raise VATWORLD_BUDGET to proceed",
         }
 
+    @pytest.mark.parametrize("raw", ["inf", "1e400"])
+    def test_infinite_budget_runs_info(self, machine_files, monkeypatch, raw):
+        monkeypatch.setenv("VATWORLD_BUDGET", raw)
+        code, report = run(["info", machine_files["parity-flip"]])
+        assert code == 0
+        assert {v["name"]: v["value"] for v in report.verdicts}["memory_class"] == "FullyObservable"
+
     def test_validate_malformed_file_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{this is not json")
@@ -366,6 +373,15 @@ class TestCli:
         assert code == 0
         got = {v["name"]: v["value"] for v in report.verdicts}
         assert got["posteriors"] == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+
+    def test_smooth_takes_no_policy(self, machine_files, tmp_path):
+        # smoothing conditions on the trace, so a policy would change nothing
+        trace = tmp_path / "trace.json"
+        trace.write_text(vio.dumps({"actions": ["1"], "outputs": ["0"]}))
+        argv = ["smooth", machine_files["parity-flip"], "--trace", str(trace), "--policy", "bogus"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
 
     def test_smooth_impossible_trace_exit_two(self, machine_files, tmp_path):
         trace = tmp_path / "trace.json"

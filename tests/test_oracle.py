@@ -2,12 +2,14 @@
 cross-checked against explicit path enumeration."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vatworld import budget
 from vatworld.core import History, Policy, Transducer
 from vatworld.errors import BudgetExceededError, ImpossibleHistoryError, StructureError
 from vatworld.linalg_reduce import reduce_generalized
@@ -249,6 +251,17 @@ class TestEquivalent:
         monkeypatch.setenv("VATWORLD_BUDGET", "100")  # 4**4 = 256 words
         with pytest.raises(BudgetExceededError):
             memory_class(fix_a, depth=4)
+
+    @pytest.mark.parametrize("raw", ["inf", "1e400"])
+    def test_infinite_budget_lifts_the_cap(self, monkeypatch, raw):
+        monkeypatch.setenv("VATWORLD_BUDGET", raw)
+        assert budget.current_budget() == math.inf
+        budget.check(1, 4, 600, "memory-class check")  # past the float range, not refused
+
+    @pytest.mark.parametrize("raw", ["nan", "-nan", "lots", ""])
+    def test_budget_without_a_number_keeps_the_default(self, monkeypatch, raw):
+        monkeypatch.setenv("VATWORLD_BUDGET", raw)
+        assert budget.current_budget() == budget.DEFAULT_BUDGET
 
 
 def _rerouted(t, rng):
