@@ -21,6 +21,7 @@ import numpy as np
 from .core import DEFAULT_TOL, MooreClass, Transducer, classify_moore, validate
 from .errors import ImpossibleHistoryError, MspClosureError, StructureError
 from .minimize import _TolIndex
+from .oracle import equivalent
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,15 @@ def build_msp(
     is within tol, and branches whose emission probability is at most tol are
     pruned.  Raises MspClosureError (with closure diagnostics) rather than
     truncating silently when the caps are hit, since a truncated belief
-    machine would quietly distort everything built on top of it.
+    machine would quietly distort everything built on top of it.  An invalid
+    source, at the belief machine's tolerance max(DEFAULT_TOL, |Y| * tol),
+    raises StructureError with its first violation.
     """
     n_actions, n_outputs = len(t.actions), len(t.outputs)
+    valid_tol = max(DEFAULT_TOL, n_outputs * tol)
+    source = validate(t, valid_tol)
+    if not source.is_valid:
+        raise StructureError(f"{t.name} is not valid at tol {valid_tol:g}: {source.violations[0]}")
     start = t.initial / t.initial.sum()
     beliefs: list[np.ndarray] = [start]
     index = _TolIndex(t.n, tol)
@@ -222,7 +229,7 @@ def build_msp(
         kernel,
         initial,
     )
-    report = validate(machine, max(DEFAULT_TOL, n_outputs * tol))
+    report = validate(machine, valid_tol)
     if not report.is_valid:
         raise RuntimeError(f"belief machine failed validation: {report}")
     if not is_unifilar(machine, tol):
@@ -231,13 +238,6 @@ def build_msp(
     return BeliefTransducer(t, machine, payload)
 
 
-def is_faithful(
-    msp: BeliefTransducer,
-    t: Transducer,
-    depth: int = 6,
-    tol: float = DEFAULT_TOL,
-) -> bool:
-    """Does the belief machine generate the same process as its base machine?"""
-    from .oracle import equivalent
-
-    return equivalent(msp.machine, t, depth, tol).equivalent
+def is_faithful(msp: BeliefTransducer, t: Transducer, tol: float = DEFAULT_TOL) -> bool:
+    """Does the belief machine give every word, of any length, its base machine's probability?"""
+    return equivalent(msp.machine, t, tol=tol).equivalent

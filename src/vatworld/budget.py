@@ -1,11 +1,12 @@
 """Word budget guard.
 
-Depth-bounded checks enumerate every action-output word up to a length, which
-grows as (|A|*|Y|)**depth; past ~1e7 words the desk-scale runtime promise
-breaks down.  The level-batched word walk (``oracle._word_levels``) charges
-its words here once, before it starts, and refuses to start over the cap.
-The cap is overridden with the VATWORLD_BUDGET environment variable; ``inf``
-lifts it.
+A check bounded by a word length walks up to (|A|*|Y|)**depth words; past
+about 1e7 of them a command no longer answers in seconds.  The walk
+(``oracle._word_levels``) is charged here once, before it starts, and refused
+over the cap.  Its callers are ``oracle.memory_class``,
+``linalg_reduce.gt_validate_interface`` and ``epsilon.epsilon_from_histories``,
+which also charges its future walk from every history.  The cap is
+overridden with the VATWORLD_BUDGET environment variable; ``inf`` lifts it.
 """
 
 import math

@@ -17,13 +17,18 @@ from . import budget
 from .core import DEFAULT_TOL, History, Transducer
 from .beliefs import build_msp, is_unifilar
 from .errors import StructureError
-from .minimize import _split_by_signature, coarsest_bisimulation, minimize_bisim
+from .minimize import _membership, _split_by_signature, coarsest_bisimulation, quotient
 from .oracle import _history, _positive, _word_levels, equivalent
 
 
 @dataclass(frozen=True)
 class EpsilonMachine:
-    """A unifilar, bisimulation-minimal, faithful presentation plus provenance."""
+    """A unifilar, faithful presentation plus provenance.
+
+    Bisimulation-minimal in exact arithmetic only: under tol > 0 the classes
+    form around leaders in state order ("within tol" is not transitive), so
+    refining the result again can still merge states.
+    """
 
     machine: Transducer
     provenance: dict = field(default_factory=dict)
@@ -31,6 +36,12 @@ class EpsilonMachine:
     @property
     def n(self) -> int:
         return self.machine.n
+
+
+def _intertwining_residual(big: np.ndarray, link: np.ndarray, small: np.ndarray) -> float:
+    """The largest column L1 norm of big_x @ link - link @ small_x over letters x."""
+    gap = big @ link - link @ small  # [a, y, rows, cols]
+    return float(np.abs(gap).sum(axis=-2).max(initial=0.0))
 
 
 def epsilon_transducer(
@@ -41,29 +52,41 @@ def epsilon_transducer(
 ) -> EpsilonMachine:
     """Minimal predictive machine: belief closure followed by bisimulation quotient.
 
-    The construction asserts its own contract: the result is unifilar, has no
-    two bisimilar states, and gives every word up to twice the input's state
-    count the input's probability.
+    The result is checked unifilar and certified faithful for words of every
+    length (linear bisimulation: Boreale 2009; Kiefer et al. 2011).  With T_x,
+    B_x, K_x the source, belief and result kernels at letter x, L the beliefs
+    as columns and P the class membership, delta_B and delta_q are the largest
+    column L1 norms of T_x L - L B_x and K_x P - P B_x.  As 1'L = 1', L e0 = pi,
+    1'P = 1' and P e0 is the result's start, telescoping p_t(w) - p_B(w) over
+    the letters of w (1'T_... has entries in [0, 1], |B_... e0|_1 <= 1) gives
+    |p_eps(w) - p_t(w)| <= |w| (delta_B + delta_q), the ``faithfulness_residual``.
+    Merged updates lie within emit * tol of their belief and pruned branches
+    carry at most tol, so delta_B <= tol; B keeps only edges above tol, so a
+    class routes into its leader's class within tol of the leader, and the
+    averaged quotient column within 2 tol of each member: delta_q <= 2 tol.
+    Past 3 tol, or with 1'L off 1', by over 8 (n + k) machine epsilons, a
+    RuntimeError reports a construction bug.
     """
     msp = build_msp(t, tol, max_states, max_depth)
-    machine = minimize_bisim(msp.machine, tol)
+    part = coarsest_bisimulation(msp.machine, tol)
+    machine = quotient(msp.machine, part, tol)
     if not is_unifilar(machine, tol):
         raise RuntimeError("reduced belief machine lost unifilarity; construction bug")
-    if not coarsest_bisimulation(machine, tol).is_discrete():
-        raise RuntimeError("reduced belief machine still has bisimilar states")
-    check_depth = 2 * t.n
-    verdict = equivalent(machine, t, check_depth, max(tol, 1e-8))
-    if not verdict.equivalent:
-        raise RuntimeError(
-            f"reduced belief machine is not faithful: {verdict.counterexample}"
-        )
+    link = np.stack([b.weights for b in msp.state_payload], axis=1)
+    residual = _intertwining_residual(t.kernel, link, msp.machine.kernel)
+    residual += _intertwining_residual(machine.kernel, _membership(part), msp.machine.kernel)
+    mass_gap = float(np.abs(link.sum(axis=0) - 1.0).max())
+    rounding = 8 * (t.n + msp.n) * float(np.finfo(float).eps)
+    if not (residual <= 3 * tol + rounding and mass_gap <= rounding):
+        msg = f"residual {residual:.3g}, belief mass off by {mass_gap:.3g}"
+        raise RuntimeError(f"reduced belief machine is not certified faithful: {msg}")
     return EpsilonMachine(
         machine,
         {
             "route": "belief-closure+bisimulation",
             "tol": tol,
             "belief_states": msp.n,
-            "checked_depth": check_depth,
+            "faithfulness_residual": residual,
         },
     )
 
@@ -187,41 +210,25 @@ def epsilon_from_histories(
 # ---------------------------------------------------------------------------
 
 
-def check_predictive(
-    candidate: Transducer, reference: Transducer, depth: int = 6, tol: float = DEFAULT_TOL
-) -> bool:
+def check_predictive(candidate: Transducer, reference: Transducer, tol: float = DEFAULT_TOL) -> bool:
     """Faithful to the reference, and state pinned down by each history?
 
-    The second half walks positive-probability histories and tracks the
-    candidate state reachable along each; more than one reachable state
-    anywhere (including a spread-out start) means the state cannot be read
-    off the history.
+    Both halves are exact: ``equivalent`` at its default depth, then a search
+    of the states reachable from the start along moves above tol, where a
+    spread-out start or a letter sending a reachable state to two states
+    means the state cannot be read off the history.
     """
-    if not equivalent(candidate, reference, depth, tol).equivalent:
+    reached = candidate.initial > tol
+    if reached.sum() > 1 or not equivalent(candidate, reference, tol=tol).equivalent:
         return False
-    start = np.flatnonzero(candidate.initial > tol)
-    if len(start) > 1:
-        return False
-    # With at most one reachable state, the next one is a table lookup:
-    # succ[x, s] is the state letter x leads to from s, n standing for none,
-    # and fan[x, s] counts the states it could lead to.
     n = candidate.n
-    hits = np.zeros((len(candidate.actions) * len(candidate.outputs), n + 1, n), dtype=bool)
-    hits[:, :n] = candidate.kernel.reshape(-1, n, n).transpose(0, 2, 1) > tol
-    fan = hits.sum(axis=2)
-    succ = np.where(fan == 1, hits.argmax(axis=2), n)
-
-    reach = start if len(start) else np.array([n])
-    levels = _word_levels(
-        [candidate.initial], candidate.kernel, depth, "observability check", _positive
-    )
-    next(levels)
-    for parent, words, vecs in levels:
-        last, before = words[:, -1], reach[parent]
-        if np.any(_positive(words, vecs) & (fan[last, before] > 1)):
-            return False
-        reach = succ[last, before]
-    return True
+    hits = candidate.kernel.reshape(-1, n, n).transpose(0, 2, 1) > tol  # [x, from, to]
+    step = hits.any(axis=0)
+    frontier = reached
+    while frontier.any():
+        frontier = step[frontier].any(axis=0) & ~reached
+        reached = reached | frontier
+    return not np.any(hits[:, reached].sum(axis=2) > 1)
 
 
 def canonical_form(t: Transducer, tol: float = DEFAULT_TOL) -> Transducer:

@@ -18,7 +18,7 @@ from vatworld.epsilon import HistoryClustering
 from vatworld.errors import MspClosureError, StructureError
 from vatworld.fixtures import delay_channel, mixture_hmm, parity_flip, parity_flip_redundant
 from vatworld.minimize import Partition, _emission_signature
-from vatworld.oracle import _history, _positive, _word_levels, word_probability
+from vatworld.oracle import _history, _positive, _word_levels, equivalent, word_probability
 from vatworld.reverse import (
     MarginalTable,
     ReversibilityVerdict,
@@ -561,6 +561,39 @@ def scan_epsilon_from_histories(
     )
 
 
+def walk_check_predictive(
+    candidate: Transducer, reference: Transducer, depth: int = 6, tol: float = DEFAULT_TOL
+) -> bool:
+    """The depth-bounded predictivity check: ``equivalent`` up to depth, then a
+    walk over the positive-probability histories up to depth that tracks the
+    one candidate state reachable along each."""
+    if not equivalent(candidate, reference, depth, tol).equivalent:
+        return False
+    start = np.flatnonzero(candidate.initial > tol)
+    if len(start) > 1:
+        return False
+    # With at most one reachable state, the next one is a table lookup:
+    # succ[x, s] is the state letter x leads to from s, n standing for none,
+    # and fan[x, s] counts the states it could lead to.
+    n = candidate.n
+    hits = np.zeros((len(candidate.actions) * len(candidate.outputs), n + 1, n), dtype=bool)
+    hits[:, :n] = candidate.kernel.reshape(-1, n, n).transpose(0, 2, 1) > tol
+    fan = hits.sum(axis=2)
+    succ = np.where(fan == 1, hits.argmax(axis=2), n)
+
+    reach = start if len(start) else np.array([n])
+    levels = _word_levels(
+        [candidate.initial], candidate.kernel, depth, "observability check", _positive
+    )
+    next(levels)
+    for parent, words, vecs in levels:
+        last, before = words[:, -1], reach[parent]
+        if np.any(_positive(words, vecs) & (fan[last, before] > 1)):
+            return False
+        reach = succ[last, before]
+    return True
+
+
 def loop_is_unifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
     """True when every (state, action, output) with emission mass has one successor."""
     for a in range(len(t.actions)):
@@ -770,6 +803,30 @@ def property_machine(kind: str, seed: int) -> Transducer:
     n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((2, 6), (1, 4), (1, 4)))
     t = build(rng, n=n, n_actions=n_a, n_outputs=n_y, name=kind)
     return lifted_machine(t, rng) if seed % 2 else t
+
+
+def delayed_machine(delay: int, last: float = 0.5, split: bool = False) -> Transducer:
+    """One action, outputs "0" and "1", states s0..s{delay} in a line.
+
+    Each state of the line emits "0" and moves on; s{delay} emits "1" with
+    probability ``last``, else "0", and stays.  So two such machines that
+    differ in ``last`` first differ on a word of length delay + 1.  With
+    ``split``, s{delay - 1} moves to s{delay} or to a copy of it with
+    probability 1/2 each: the same process, whose state is no longer read
+    off the history from length delay on.
+    """
+    n = delay + 1 + split
+    kernel = np.zeros((1, 2, n, n))
+    for j in range(delay):
+        kernel[0, 0, j + 1, j] = 1.0
+    for j in range(delay, n):
+        kernel[0, :, j, j] = [1.0 - last, last]
+    if split:
+        kernel[0, 0, delay:, delay - 1] = 0.5
+    initial = np.zeros(n)
+    initial[0] = 1.0
+    states = [f"s{j}" for j in range(n)]
+    return Transducer("delayed", states, Alphabet(["a"]), Alphabet(["0", "1"]), kernel, initial)
 
 
 def leak_machine(leak: float = 1e-4, mass: float = 1e-6) -> Transducer:

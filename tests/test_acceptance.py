@@ -111,14 +111,14 @@ def test_criterion_3_msp_faithfulness():
     for t in (parity_flip(), parity_flip_redundant()):
         msp = build_msp(t, 1e-9)
         ok = ok and is_unifilar(msp.machine, 1e-9)
-        ok = ok and is_faithful(msp, t, depth=6, tol=1e-8)
+        ok = ok and is_faithful(msp, t, tol=1e-8)
     rng = np.random.default_rng(3003)
     for k in range(20):
         t = random_unifilar(rng, n=3, name=f"acc3-{k}")
         msp = build_msp(t, 1e-9)
         ok = ok and is_unifilar(msp.machine, 1e-9)
-        ok = ok and is_faithful(msp, t, depth=6, tol=1e-8)
-    _report(3, ok, "belief machines are unifilar and faithful at depth 6 (tol 1e-8)")
+        ok = ok and is_faithful(msp, t, tol=1e-8)
+    _report(3, ok, "belief machines are unifilar and faithful, exact (tol 1e-8)")
     assert ok
 
 

@@ -23,6 +23,7 @@ from vatworld.oracle import equivalent, word_probability
 from conftest import (
     PROPERTY_KINDS,
     PROPERTY_TOLS,
+    delayed_machine,
     loop_is_unifilar,
     path_enum_posterior,
     positive_histories,
@@ -210,17 +211,34 @@ class TestBuildMsp:
         assert str(got.value) == str(ref.value)
 
     def test_faithful_on_fixtures(self, fix_a, fix_b):
-        assert is_faithful(build_msp(fix_a), fix_a, depth=8)
-        assert is_faithful(build_msp(fix_b), fix_b, depth=8)
+        assert is_faithful(build_msp(fix_a), fix_a)
+        assert is_faithful(build_msp(fix_b), fix_b)
 
     def test_wrong_start_is_not_faithful(self, fix_b):
         shifted = Transducer(
             "shifted", fix_b.states, fix_b.actions, fix_b.outputs, fix_b.kernel, [0.0, 1.0, 0.0]
         )
         msp = build_msp(shifted)
-        assert not is_faithful(msp, fix_b, depth=4)
+        assert not is_faithful(msp, fix_b)
         ce = equivalent(msp.machine, fix_b, depth=4).counterexample
         assert ce is not None and len(ce.history) == 1  # first emission already differs
+
+    def test_difference_past_depth_eight_is_found(self):
+        # the machines first differ on the word of nine 0s and then one letter
+        msp = build_msp(delayed_machine(9, last=0.5))
+        other = delayed_machine(9, last=0.6)
+        assert equivalent(msp.machine, other, depth=8).equivalent
+        assert not is_faithful(msp, other)
+        assert is_faithful(msp, delayed_machine(9, last=0.5))
+
+    def test_invalid_source_is_refused_with_its_first_violation(self, fix_a):
+        kernel = fix_a.kernel.copy()
+        kernel[tuple(np.argwhere(kernel)[0])] = 0.7
+        t = Transducer("broken", fix_a.states, fix_a.actions, fix_a.outputs, kernel, fix_a.initial)
+        first = str(validate(t).violations[0])
+        with pytest.raises(StructureError, match="is not valid at tol") as err:
+            build_msp(t)
+        assert str(err.value).endswith(first)
 
     def test_msp_outputs_are_unifilar(self, fix_a, fix_b):
         rng = np.random.default_rng(8)
@@ -235,7 +253,7 @@ class TestBuildMsp:
             t = random_unifilar(rng, n=3, name=f"u{k}")
             msp = build_msp(t, max_states=200)
             assert msp.n <= 200
-            assert is_faithful(msp, t, depth=6, tol=1e-8)
+            assert is_faithful(msp, t, tol=1e-8)
             closed += 1
         assert closed == 20
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vatworld.beliefs import build_msp, is_unifilar
+from vatworld.beliefs import BeliefState, BeliefTransducer, build_msp, is_unifilar
 from vatworld.core import Alphabet, Transducer, make_card_deck
 from vatworld.epsilon import (
     canonical_form,
@@ -19,17 +19,22 @@ from vatworld.epsilon import (
     epsilon_transducer,
     is_isomorphic,
 )
-from vatworld.errors import BudgetExceededError, StructureError
+from vatworld.errors import BudgetExceededError, MspClosureError, StructureError
 from vatworld.minimize import coarsest_bisimulation, minimize_bisim
 from vatworld.oracle import equivalent, forward_vector
 
 from conftest import (
+    PROPERTY_KINDS,
+    PROPERTY_TOLS,
+    delayed_machine,
+    property_machine,
     random_io_moore,
     random_permutation_machine,
     random_rare_machine,
     random_transducer,
     random_unifilar,
     scan_epsilon_from_histories,
+    walk_check_predictive,
 )
 
 CLUSTERING_KINDS = [
@@ -116,6 +121,44 @@ def chain_machine() -> Transducer:
     return Transducer("chain", states, Alphabet(["a"]), Alphabet(["0", "1"]), kernel, [1, 0, 0])
 
 
+def rounding_allowance(t: Transducer, eps) -> float:
+    """The certificate's rounding allowance: 8 (n + k) machine epsilons."""
+    return 8 * (t.n + eps.provenance["belief_states"]) * float(np.finfo(float).eps)
+
+
+def perturbed_build(part: str, delta: float):
+    """build_msp, with the last belief's first weight or the belief machine's
+    largest kernel entry raised by delta."""
+
+    def build(t, *args):
+        msp = build_msp(t, *args)
+        if part == "payload":
+            w = msp.state_payload[-1].weights.copy()
+            w[0] += delta
+            return BeliefTransducer(t, msp.machine, msp.state_payload[:-1] + (BeliefState(w, 1.0),))
+        m = msp.machine
+        kernel = m.kernel.copy()
+        kernel.flat[np.argmax(kernel)] += delta
+        machine = Transducer(m.name, m.states, m.actions, m.outputs, kernel, m.initial)
+        return BeliefTransducer(t, machine, msp.state_payload)
+
+    return build
+
+
+# Property builds whose result a second refinement would still split: tol
+# near-ties at 1e-3, rounding at 1e-12 and 0.
+NEAR_TIE_BUILDS = [
+    ("dense", 24, 1e-3),
+    ("dense", 29, 1e-3),
+    ("dense", 30, 1e-3),
+    ("dense", 60, 1e-3),
+    ("io-moore", 24, 1e-3),
+    ("io-moore", 30, 1e-3),
+    ("io-moore", 142, 1e-12),
+    ("permutation", 75, 0.0),
+]
+
+
 class TestEpsilonTransducer:
     def test_redundant_split_collapses(self, fix_a, fix_b):
         eps = epsilon_transducer(fix_b)
@@ -163,6 +206,49 @@ class TestEpsilonTransducer:
             eps = epsilon_transducer(t)
             msp = build_msp(t)
             assert minimize_bisim(msp.machine).n == eps.n
+
+
+class TestFaithfulnessCertificate:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(PROPERTY_KINDS),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_every_build_is_certified(self, seed, kind, tol):
+        t = property_machine(kind, seed)
+        try:
+            eps = epsilon_transducer(t, tol, max_states=200)
+        except MspClosureError:
+            return
+        assert eps.provenance["faithfulness_residual"] <= 3 * tol + rounding_allowance(t, eps)
+        if tol <= 1e-9:
+            assert equivalent(eps.machine, t, tol=1e-8).equivalent
+
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS)
+    @pytest.mark.parametrize("part", ["payload", "kernel"])
+    @pytest.mark.parametrize("kind, seed", [("deck", 8), ("unifilar", 1), ("unifilar", 4)])
+    def test_perturbed_belief_machine_is_refused(self, kind, seed, part, tol):
+        t = property_machine(kind, seed)
+        assert epsilon_transducer(t, tol).n >= 2
+        build = perturbed_build(part, 10 * max(tol, 1e-9))
+        with mock.patch("vatworld.epsilon.build_msp", build):
+            with pytest.raises(RuntimeError, match="not certified faithful"):
+                epsilon_transducer(t, tol)
+
+    @pytest.mark.parametrize("kind, seed, tol", NEAR_TIE_BUILDS)
+    def test_builds_a_second_refinement_would_split_are_faithful(self, kind, seed, tol):
+        t = property_machine(kind, seed)
+        eps = epsilon_transducer(t, tol)
+        assert not coarsest_bisimulation(eps.machine, tol).is_discrete()
+        assert eps.provenance["faithfulness_residual"] <= 3 * tol + rounding_allowance(t, eps)
+        assert equivalent(eps.machine, t, 2 * t.n, max(tol, 1e-8)).equivalent
+        assert equivalent(eps.machine, t, tol=max(tol, 1e-8)).equivalent
+
+    def test_provenance_reports_the_residual_not_a_depth(self, fix_b):
+        eps = epsilon_transducer(fix_b)
+        assert "checked_depth" not in eps.provenance
+        assert 0.0 <= eps.provenance["faithfulness_residual"] <= rounding_allowance(fix_b, eps)
 
 
 class TestEpsilonFromHistories:
@@ -253,17 +339,51 @@ class TestEpsilonFromHistories:
 class TestCheckPredictive:
     def test_epsilon_machine_is_predictive(self, fix_b):
         eps = epsilon_transducer(fix_b)
-        assert check_predictive(eps.machine, fix_b, depth=6)
+        assert check_predictive(eps.machine, fix_b)
 
     def test_nondeterministic_split_is_not(self, fix_b):
         # action 1 from the start reaches two states under one history
-        assert not check_predictive(fix_b, fix_b, depth=6)
+        assert not check_predictive(fix_b, fix_b)
 
     def test_other_minimal_presentation_is_predictive(self, fix_a, fix_b):
-        assert check_predictive(fix_a, fix_b, depth=6)
+        assert check_predictive(fix_a, fix_b)
 
     def test_unfaithful_candidate_rejected(self, fix_a, fix_d):
-        assert not check_predictive(fix_d, fix_a, depth=4)
+        assert not check_predictive(fix_d, fix_a)
+
+    def test_fan_past_depth_six_is_found(self):
+        # the candidate's state splits on the eighth letter
+        split, line = delayed_machine(8, split=True), delayed_machine(8)
+        assert walk_check_predictive(split, line, depth=6)
+        assert not check_predictive(split, line)
+        assert check_predictive(line, split)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(PROPERTY_KINDS),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_exact_verdict_implies_the_depth_six_walk(self, seed, kind, tol):
+        # The walk visits a prefix of the exact check's words and a subset of
+        # its reachable states, so it can only accept more.
+        t = property_machine(kind, seed)
+        candidates = [t]
+        try:
+            candidates.append(epsilon_transducer(t, tol, max_states=200).machine)
+        except MspClosureError:
+            pass
+        for c in candidates:
+            if check_predictive(c, t, tol):
+                assert walk_check_predictive(c, t, 6, tol)
+
+    def test_charges_no_budget(self, fix_b, monkeypatch):
+        eps = epsilon_transducer(fix_b)
+        monkeypatch.setenv("VATWORLD_BUDGET", "1")
+        with pytest.raises(BudgetExceededError):
+            walk_check_predictive(eps.machine, fix_b, depth=6)
+        assert check_predictive(eps.machine, fix_b)
+        assert not check_predictive(fix_b, fix_b)
 
 
 class TestCanonicalForm:

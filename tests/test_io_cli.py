@@ -352,6 +352,41 @@ class TestCli:
         got = {v["name"]: v["value"] for v in report.verdicts}
         assert got["states"] == 2 and got["stabilized"] is True
 
+    @pytest.mark.parametrize("command", ["msp", "epsilon"])
+    def test_invalid_source_exit_two(self, machine_files, tmp_path, command):
+        with open(machine_files["parity-flip"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["kernel"][0]["prob"] = 0.7
+        broken = tmp_path / "broken.json"
+        broken.write_text(vio.dumps(doc))
+        code, report = run(["validate", str(broken)])
+        assert code == 1
+        violation = report.verdicts[-1]["value"][0]
+        code, report = run([command, str(broken)])
+        assert code == 2
+        assert report.verdicts[-1]["name"] == "error"
+        assert report.verdicts[-1]["value"].endswith(violation)
+
+    def test_epsilon_reports_the_faithfulness_residual(self, machine_files):
+        code, report = run(["epsilon", machine_files["parity-flip-redundant"]])
+        assert code == 0
+        got = {v["name"]: v["value"] for v in report.verdicts}
+        assert "checked_depth" not in got
+        assert 0.0 <= got["faithfulness_residual"] <= 1e-12
+
+    def test_epsilon_on_a_near_tie_machine_at_tol_1e_3(self, tmp_path):
+        # Tolerance near-ties leave states a second refinement would merge;
+        # the result is still certified and faithful.
+        t = property_machine("dense", 24)
+        src, out = tmp_path / "dense.json", tmp_path / "eps.json"
+        vio.save_transducer(t, src)
+        code, report = run(["epsilon", str(src), "--tol", "1e-3", "--out", str(out)])
+        assert code == 0
+        got = {v["name"]: v["value"] for v in report.verdicts}
+        assert got["states"] == 67
+        assert got["faithfulness_residual"] <= 3e-3
+        assert equivalent(vio.load_transducer(out), t, 2 * t.n, 1e-3).equivalent
+
     def test_reverse_writes_kernel_slices(self, machine_files, tmp_path):
         prefix = str(tmp_path / "rev")
         code, report = run(
