@@ -386,14 +386,11 @@ def _cmd_smooth(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
     report.inputs[args.trace] = _digest(args.trace)
     h = vio.load_history(args.trace)
-    slices = smooth(t, h)
+    post = smooth(t, h)
     rho = bdmsm_from_word(t, h)
     report.parameters.update({"trace_length": len(h)})
-    report.add(
-        "posteriors",
-        [[float(x) for x in b.weights] for b in slices],
-    )
-    report.add("final_bdmsm", [[float(x) for x in row] for row in rho.matrix])
+    report.add("posteriors", post.tolist())
+    report.add("final_bdmsm", rho.matrix.tolist())
     return 0
 
 

@@ -45,6 +45,7 @@ class Alphabet:
         if len(set(syms)) != len(syms):
             raise StructureError(f"alphabet labels must be unique, got {syms}")
         object.__setattr__(self, "symbols", syms)
+        object.__setattr__(self, "_lookup", {s: k for k, s in enumerate(syms)})
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -54,12 +55,16 @@ class Alphabet:
 
     def index(self, label) -> int:
         try:
-            return self.symbols.index(str(label))
-        except ValueError:
+            return self._lookup[str(label)]
+        except KeyError:
             raise StructureError(f"symbol {label!r} not in alphabet {self.symbols}") from None
 
     def indices(self, labels: Iterable) -> list[int]:
-        return [self.index(s) for s in labels]
+        labels = list(labels)
+        try:
+            return [self._lookup[s] for s in labels]
+        except (KeyError, TypeError):  # a label that is not a known str
+            return [self.index(s) for s in labels]
 
 
 @dataclass(frozen=True)
@@ -384,12 +389,31 @@ def validate(t: Transducer, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the probabilistic invariants of a transducer.
 
     Structural problems (bad shapes, unknown symbols) raise at construction
-    time; this reports numeric defects: negative kernel or initial entries,
-    per-(action, state) columns whose total mass misses one, and an initial
-    vector that does not sum to one.
+    time; this reports numeric defects: NaN or infinite kernel or initial
+    entries, negative ones, per-(action, state) columns whose total mass
+    misses one, and an initial vector that does not sum to one.
     """
     found: list[Violation] = []
     kern = t.kernel
+    for a, y, i, j in np.argwhere(~np.isfinite(kern)):
+        found.append(
+            Violation(
+                "non_finite",
+                (t.actions.symbols[a], t.outputs.symbols[y], t.states[i], t.states[j]),
+                float(kern[a, y, i, j]),
+                f"kernel entry ({t.outputs.symbols[y]}, {t.states[i]} | "
+                f"{t.actions.symbols[a]}, {t.states[j]}) = {kern[a, y, i, j]} is not finite",
+            )
+        )
+    for j in np.flatnonzero(~np.isfinite(t.initial)):
+        found.append(
+            Violation(
+                "non_finite",
+                (t.states[j],),
+                float(t.initial[j]),
+                f"initial[{t.states[j]}] = {t.initial[j]} is not finite",
+            )
+        )
     neg = np.argwhere(kern < -tol)
     for a, y, i, j in neg:
         found.append(

@@ -8,6 +8,7 @@ for any file this module wrote.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -183,8 +184,85 @@ def policy_from_doc(doc: dict, where: str = "policy") -> Policy:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical text form: fixed key order (insertion), two-space indent."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """Canonical text form: fixed key order (insertion), two-space indent.
+
+    The text is exactly ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    plus a newline.  ``json`` takes its C encoder only without an indent, so
+    each list or dict holding scalars alone goes through that encoder in one
+    call, with the newline and indent of its items as the item separator,
+    and so does each list of such non-empty lists (a matrix).  Only the
+    containers above those are walked here.
+    """
+    return _encode(doc, 0) + "\n"
+
+
+# Exact types only: a subclass (numpy's float64, say) is encoded on its own.
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+_LISTS = frozenset((list, tuple))
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """Encoder of a scalar container whose items sit at indent ``level``."""
+    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * level, ": "))
+
+
+def _encode(value, level: int) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` at nesting ``level``."""
+    is_dict = isinstance(value, dict)
+    if not is_dict and not isinstance(value, (list, tuple)):
+        return _flat_encoder(level).encode(value)
+    if not value:
+        return "{}" if is_dict else "[]"
+    inner = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level
+    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
+        text = _flat_encoder(level + 1).encode(value)
+        return text[0] + inner + text[1:-1] + close + text[-1]
+    if is_dict:
+        enc = _flat_encoder(level + 1)
+        body = [_key(enc, k) + ": " + _encode(v, level + 1) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(body) + close + "}"
+    if _LISTS.issuperset(map(type, value)) and all(_is_scalar_row(row) for row in value):
+        return "[" + inner + _encode_rows(value, level + 1) + close + "]"
+    return "[" + inner + ("," + inner).join([_encode(v, level + 1) for v in value]) + close + "]"
+
+
+def _is_scalar_row(row) -> bool:
+    return bool(row) and _SCALARS.issuperset(map(type, row))
+
+
+# Rows per encoder call: one call holds every encoded scalar of its rows at
+# once, so a long matrix goes through in blocks.
+_ROWS_PER_CALL = 64
+
+
+def _encode_rows(rows, level: int) -> str:
+    """Non-empty scalar lists at indent ``level``, joined by commas.
+
+    The encoder separates every item, rows included, by the indent of the
+    row items.  Encoded scalars neither end in "]" nor start with "[", and
+    no newline appears inside an encoded string, so "]," + that separator +
+    "[" marks exactly the row boundaries, which get the row indent instead.
+    """
+    cell = "\n" + "  " * (level + 1)
+    row = "\n" + "  " * level
+    enc = _flat_encoder(level + 1)
+    bound = "]," + cell + "["
+    blocks = range(0, len(rows), _ROWS_PER_CALL)
+    text = bound.join([enc.encode(rows[k : k + _ROWS_PER_CALL])[2:-2] for k in blocks])
+    return "[" + cell + text.replace(bound, row + "]," + row + "[" + cell) + row + "]"
+
+
+def _key(enc: json.JSONEncoder, key) -> str:
+    """A dict key as ``json`` writes it: non-string scalars turn into their
+    JSON text, and every key is quoted."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float, type(None))):
+            kind = type(key).__name__
+            raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
+        key = enc.encode(key)
+    return enc.encode(key)
 
 
 def loads(text: str) -> dict:

@@ -21,6 +21,9 @@ from .errors import ImpossibleHistoryError, SingularDiagonalError, StructureErro
 # the alias marks intent at call sites.
 RetrodictiveBelief = BeliefState
 
+# BeliefState's default tolerance, applied to every row of a smoothed posterior
+_BELIEF_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BDMSM:
@@ -135,31 +138,46 @@ def bdmsm_reverse_extend(
     return BDMSM(mat / z, window)
 
 
-def smooth(t: Transducer, h: History) -> list[BeliefState]:
-    """Posterior over the state at every time 0..t+1 given the whole history.
+def smooth(t: Transducer, h: History) -> np.ndarray:
+    """Posterior over the state at every time 0..len(h) given the whole history.
 
-    Slice tau is the forward-filtered belief at tau times the likelihood of
-    the history's suffix from tau given each state, normalized.  Both passes
-    are renormalized at every step (Rabiner 1989, section V.A), so no product
-    underflows on long histories and the cost is linear in the length.
+    Returns a read-only (len(h)+1, n) array whose row tau is the
+    forward-filtered belief at tau times the likelihood of the history's
+    suffix from tau given each state, normalized; the last row is the
+    filtered belief itself.  Both sweeps are renormalized at every step
+    (Rabiner 1989, section V.A), so no product underflows on long histories
+    and the cost is linear in the length.  Every row passes the checks of a
+    ``BeliefState``.
     """
     a_idx, y_idx = t.word_indices(h)
-    forward = [t.initial / t.initial.sum()]
-    for a, y in zip(a_idx, y_idx):
-        raw = t.kernel[a, y] @ forward[-1]
-        z = float(raw.sum())
+    steps = [t.kernel[a, y] for a, y in zip(a_idx, y_idx)]
+    forward = np.empty((len(steps) + 1, t.n))
+    forward[0] = t.initial / t.initial.sum()
+    for m, prev, row in zip(steps, forward, forward[1:]):
+        raw = m @ prev
+        z = raw.sum()
         if z <= 0.0:
             raise ImpossibleHistoryError(f"history {h} has probability 0")
-        forward.append(raw / z)
+        np.divide(raw, z, out=row)
 
-    slices = [BeliefState(forward[-1])]
+    likelihood = np.empty((len(steps), t.n))
     back = np.ones(t.n)
-    for tau in range(len(h) - 1, -1, -1):
-        back = back @ t.kernel[a_idx[tau], y_idx[tau]]
-        post = forward[tau] * back
-        z = float(post.sum())
-        if z <= 0.0:
-            raise ImpossibleHistoryError(f"history {h} has probability 0")
-        back /= back.sum()
-        slices.append(BeliefState(post / z))
-    return slices[::-1]
+    for m, row in zip(reversed(steps), likelihood[::-1]):
+        np.matmul(back, m, out=row)
+        back = row / row.sum()
+
+    post = forward
+    post[:-1] *= likelihood
+    z = post[:-1].sum(axis=1)
+    if np.any(z <= 0.0):
+        raise ImpossibleHistoryError(f"history {h} has probability 0")
+    post[:-1] /= z[:, None]
+    if np.any(post < -_BELIEF_TOL):
+        raise StructureError(f"posterior has a negative entry: {post.min():.3g}")
+    sums = post.sum(axis=1)
+    off = np.abs(sums - 1.0) > _BELIEF_TOL
+    if np.any(off):
+        tau = int(np.argmax(off))
+        raise StructureError(f"posterior at {tau} sums to {sums[tau]:.12g}, not 1")
+    post.setflags(write=False)
+    return post

@@ -15,7 +15,7 @@ import pytest
 from vatworld.beliefs import BeliefState, BeliefTransducer, is_unifilar
 from vatworld.core import DEFAULT_TOL, Alphabet, History, Transducer, make_card_deck, validate
 from vatworld.epsilon import HistoryClustering
-from vatworld.errors import MspClosureError, StructureError
+from vatworld.errors import ImpossibleHistoryError, MspClosureError, StructureError
 from vatworld.fixtures import delay_channel, mixture_hmm, parity_flip, parity_flip_redundant
 from vatworld.minimize import Partition, _emission_signature
 from vatworld.oracle import _history, _positive, _word_levels, equivalent, word_probability
@@ -332,6 +332,39 @@ def reference_sample_trajectory(t: Transducer, policy, length: int, seed: int):
         states.append(t.states[nxt])
         state = nxt
     return tuple(actions), tuple(outputs), tuple(states)
+
+
+# ---------------------------------------------------------------------------
+# Reference smoother
+# ---------------------------------------------------------------------------
+
+
+def reference_smooth(t: Transducer, h: History) -> list[BeliefState]:
+    """The smoother as it stood before the array rewrite, kept verbatim.
+
+    It builds one ``BeliefState`` per time step; ``retro.smooth`` must give
+    the same posteriors bit for bit, row tau being slice tau.
+    """
+    a_idx, y_idx = t.word_indices(h)
+    forward = [t.initial / t.initial.sum()]
+    for a, y in zip(a_idx, y_idx):
+        raw = t.kernel[a, y] @ forward[-1]
+        z = float(raw.sum())
+        if z <= 0.0:
+            raise ImpossibleHistoryError(f"history {h} has probability 0")
+        forward.append(raw / z)
+
+    slices = [BeliefState(forward[-1])]
+    back = np.ones(t.n)
+    for tau in range(len(h) - 1, -1, -1):
+        back = back @ t.kernel[a_idx[tau], y_idx[tau]]
+        post = forward[tau] * back
+        z = float(post.sum())
+        if z <= 0.0:
+            raise ImpossibleHistoryError(f"history {h} has probability 0")
+        back /= back.sum()
+        slices.append(BeliefState(post / z))
+    return slices[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -245,7 +245,7 @@ def test_criterion_7_bdmsm_identities():
             ok = ok and float(np.abs(chained.matrix - rho.matrix).max()) <= 1e-12
             for tau, belief in enumerate(smooth(t, h)):
                 expect = path_enum_posterior(t, h, tau)
-                ok = ok and float(np.abs(belief.weights - expect).sum()) <= 1e-9
+                ok = ok and float(np.abs(belief - expect).sum()) <= 1e-9
     _report(7, ok, f"joint-posterior identities on {count} seeded traces")
     assert ok and count >= 100
 

@@ -240,6 +240,13 @@ class TestBuildMsp:
             build_msp(t)
         assert str(err.value).endswith(first)
 
+    def test_nan_source_entry_is_refused_by_name(self, fix_a):
+        kernel = fix_a.kernel.copy()
+        kernel[0, 0, 0, 0] = np.nan
+        t = Transducer("broken", fix_a.states, fix_a.actions, fix_a.outputs, kernel, fix_a.initial)
+        with pytest.raises(StructureError, match=r"kernel entry \(0, s0 \| 0, s0\) = nan is not finite$"):
+            build_msp(t)
+
     def test_msp_outputs_are_unifilar(self, fix_a, fix_b):
         rng = np.random.default_rng(8)
         machines = [fix_a, fix_b] + [random_unifilar(rng, name=f"u{k}") for k in range(5)]

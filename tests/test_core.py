@@ -36,6 +36,21 @@ class TestAlphabet:
         with pytest.raises(StructureError):
             al.index("w")
 
+    def test_labels_are_matched_as_strings(self):
+        al = Alphabet([0, 1, 2])
+        assert al.index(2) == al.index("2") == 2
+        assert al.indices([1, "0", 2, 2]) == [1, 0, 2, 2]
+        assert al.indices(iter(["2", "1"])) == [2, 1]
+
+    def test_unknown_label_in_indices_is_named(self):
+        al = Alphabet(["x", "y"])
+        with pytest.raises(StructureError, match=r"^symbol 'w' not in alphabet \('x', 'y'\)$"):
+            al.indices(iter(["x", "w", "v"]))
+        with pytest.raises(StructureError, match=r"^symbol 3 not in alphabet"):
+            al.index(3)
+        with pytest.raises(StructureError, match=r"^symbol \['x'\] not in alphabet"):
+            al.indices([["x"]])
+
 
 class TestHistory:
     def test_lengths_must_match(self):
@@ -72,6 +87,28 @@ class TestValidate:
         kinds = {v.kind for v in validate(broken).violations}
         assert "negative_entry" in kinds
         assert "initial_mass" in kinds
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_kernel_entry_is_named(self, fix_a, value):
+        kern = fix_a.kernel.copy()
+        kern[0, 0, 0, 0] = value
+        broken = Transducer("broken", fix_a.states, fix_a.actions, fix_a.outputs, kern, fix_a.initial)
+        report = validate(broken)
+        assert not report.is_valid
+        v = report.violations[0]
+        assert v.kind == "non_finite"
+        assert v.where == ("0", "0", "s0", "s0")
+        assert v.message == f"kernel entry (0, s0 | 0, s0) = {value} is not finite"
+        assert [w.kind for w in report.violations].count("non_finite") == 1
+
+    def test_non_finite_initial_entry_is_named(self, fix_a):
+        initial = [np.nan, 1.0]
+        broken = Transducer("broken", fix_a.states, fix_a.actions, fix_a.outputs, fix_a.kernel, initial)
+        report = validate(broken)
+        assert not report.is_valid
+        v = report.violations[0]
+        assert (v.kind, v.where) == ("non_finite", ("s0",))
+        assert v.message == "initial[s0] = nan is not finite"
 
     def test_structural_errors_raise(self, fix_a):
         with pytest.raises(StructureError):

@@ -130,6 +130,71 @@ class TestHistoryAndPolicyFiles:
             vio.policy_from_doc({"kind": "nonsense"})
 
 
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**90), 2**90)
+    | st.floats()
+    | st.floats().map(np.float64)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-320, 1e308])
+    | st.text()
+    | st.sampled_from(["", "é\u00a0ß", "\u2028\u4e2d", "\"\\/\b\f\n\r\t", "\x00\x1f\x7f"])
+    | st.sampled_from(["\U0001f600", "]", "[", "],", "],\n    [", "x]", "[y"])
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=6)
+    | st.lists(kids, max_size=6).map(tuple)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=6),
+    max_leaves=40,
+)
+_JSON_ROWS = st.lists(
+    st.lists(_JSON_SCALARS, max_size=4) | st.tuples(_JSON_SCALARS, _JSON_SCALARS), max_size=5
+)
+
+
+class TestCanonicalText:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        doc=_JSON_DOCS
+        | _JSON_ROWS
+        | st.dictionaries(st.text(max_size=2), _JSON_ROWS | _JSON_DOCS, max_size=3)
+    )
+    def test_same_bytes_as_json_dumps(self, doc):
+        assert vio.dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {},
+            [],
+            (),
+            {"a": [], "b": {}, "c": [[], {}]},
+            [[[1]], {"k": ()}],
+            "top",
+            -0.0,
+            10**40,
+            None,
+            {1: 2, 2.5: "x", True: None, None: 1.0, float("nan"): -1},
+            {1: [2], -0.0: {}, False: {"z": [{}]}, None: [1, {2: 3}]},
+            [[1, 2.5], (None, "x")],
+            {"m": [["],", "a"], ["[", "]"], ["x]", "[y"], ["],\n      [", 0]]},
+            [[1], []],
+            [[], [1]],
+            [[1], [[2]]],
+        ],
+    )
+    def test_empty_containers_bare_scalars_and_scalar_keys(self, doc):
+        assert vio.dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+    def test_unserializable_items_raise_as_json_does(self):
+        for doc in ([1, np.int64(2)], {"a": {"b": np.arange(2)}}, {(1, 2): 3}, {"a": [{(1,): 2}]}):
+            with pytest.raises(TypeError):
+                json.dumps(doc, indent=2)
+            with pytest.raises(TypeError):
+                vio.dumps(doc)
+
+
 @pytest.fixture
 def machine_files(tmp_path):
     paths = {}
@@ -240,6 +305,25 @@ class TestCli:
         broken.write_text(vio.dumps(doc))
         code, report = run(["validate", str(broken)])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["validate", "msp", "epsilon"])
+    def test_nan_kernel_record_is_refused_by_name(self, machine_files, tmp_path, command):
+        with open(machine_files["parity-flip"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["kernel"][0]["prob"] = float("nan")
+        broken = tmp_path / "nan.json"
+        broken.write_text(vio.dumps(doc))
+        code, report = run([command, str(broken)])
+        rec = doc["kernel"][0]
+        entry = f"({rec['output']}, {rec['to']} | {rec['action']}, {rec['from']})"
+        named = f"kernel entry {entry} = nan is not finite"
+        if command == "validate":
+            assert code == 1
+            got = {v["name"]: v["value"] for v in report.verdicts}
+            assert got["valid"] is False and got["violations"][0] == named
+        else:
+            assert code == 2
+            assert report.verdicts[-1]["value"].endswith(named)
 
     def test_info_reports_classes(self, machine_files):
         code, report = run(["info", machine_files["parity-flip"], "--pretty"])

@@ -26,6 +26,7 @@ from conftest import (
     random_io_moore,
     random_transducer,
     random_unifilar,
+    reference_smooth,
 )
 
 UNIFORM = Policy.uniform()
@@ -164,24 +165,24 @@ class TestReverseExtend:
 
 class TestSmooth:
     def test_parity_flip_deterministic_slices(self, fix_a):
-        slices = smooth(fix_a, History(("1", "1"), ("0", "1")))
-        np.testing.assert_allclose(slices[0].weights, [1.0, 0.0])
-        np.testing.assert_allclose(slices[1].weights, [0.0, 1.0])
-        np.testing.assert_allclose(slices[2].weights, [1.0, 0.0])
+        post = smooth(fix_a, History(("1", "1"), ("0", "1")))
+        np.testing.assert_allclose(post[0], [1.0, 0.0])
+        np.testing.assert_allclose(post[1], [0.0, 1.0])
+        np.testing.assert_allclose(post[2], [1.0, 0.0])
 
     def test_redundant_split_middle_slice(self, fix_b):
-        slices = smooth(fix_b, History(("1",), ("0",)))
-        np.testing.assert_allclose(slices[1].weights, [0.0, 0.5, 0.5])
+        post = smooth(fix_b, History(("1",), ("0",)))
+        np.testing.assert_allclose(post[1], [0.0, 0.5, 0.5])
 
     def test_matches_enumeration_posteriors(self, fix_a, fix_b, fix_c):
         for t in (fix_a, fix_b, fix_c):
             count = 0
             for h in positive_histories(t, 3):
-                slices = smooth(t, h)
-                assert len(slices) == len(h) + 1
+                post = smooth(t, h)
+                assert len(post) == len(h) + 1
                 for tau in range(len(h) + 1):
                     expect = path_enum_posterior(t, h, tau)
-                    assert np.abs(slices[tau].weights - expect).sum() <= 1e-9
+                    assert np.abs(post[tau] - expect).sum() <= 1e-9
                 count += 1
             assert count > 0
 
@@ -193,13 +194,13 @@ class TestSmooth:
         # the unscaled products fall below the smallest double near 1100 steps
         actions, outputs, _ = sample_trajectory(fix_c, UNIFORM, 3000, seed=3)
         h = History(actions, outputs)
-        slices = smooth(fix_c, h)
-        assert len(slices) == 3001
-        for s in slices:
-            assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        post = smooth(fix_c, h)
+        assert len(post) == 3001
+        for s in post:
+            assert s.sum() == pytest.approx(1.0, abs=1e-12)
         rho = bdmsm_from_word(fix_c, h)
-        np.testing.assert_allclose(slices[-1].weights, rho.matrix.sum(axis=1), atol=1e-12)
-        np.testing.assert_allclose(slices[0].weights, rho.matrix.sum(axis=0), atol=1e-12)
+        np.testing.assert_allclose(post[-1], rho.matrix.sum(axis=1), atol=1e-12)
+        np.testing.assert_allclose(post[0], rho.matrix.sum(axis=0), atol=1e-12)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -213,21 +214,53 @@ class TestSmooth:
         t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
         actions, outputs, _ = sample_trajectory(t, UNIFORM, length, seed)
         h = History(actions, outputs)
-        slices = smooth(t, h)
-        assert len(slices) == length + 1
-        for tau, s in enumerate(slices):
-            assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(s.weights, path_enum_posterior(t, h, tau), atol=1e-9)
+        post = smooth(t, h)
+        assert len(post) == length + 1
+        for tau, s in enumerate(post):
+            assert s.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(s, path_enum_posterior(t, h, tau), atol=1e-9)
         rho = bdmsm_from_word(t, h)
-        np.testing.assert_allclose(rho.matrix.sum(axis=1), slices[-1].weights, atol=1e-9)
-        np.testing.assert_allclose(rho.matrix.sum(axis=0), slices[0].weights, atol=1e-9)
+        np.testing.assert_allclose(rho.matrix.sum(axis=1), post[-1], atol=1e-9)
+        np.testing.assert_allclose(rho.matrix.sum(axis=0), post[0], atol=1e-9)
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from([random_transducer, random_unifilar, random_io_moore]),
+        length=st.integers(0, 60),
+    )
+    def test_rows_are_the_reference_slices(self, seed, kind, length):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((1, 6), (1, 4), (1, 4)))
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        actions, outputs, _ = sample_trajectory(t, UNIFORM, length, seed)
+        h = History(actions, outputs)
+        post = smooth(t, h)
+        assert post.shape == (length + 1, t.n) and not post.flags.writeable
+        assert np.array_equal(post, [s.weights for s in reference_smooth(t, h)])
+
+    def test_long_trace_rows_are_the_reference_slices(self, fix_c):
+        actions, outputs, _ = sample_trajectory(fix_c, UNIFORM, 3000, seed=3)
+        h = History(actions, outputs)
+        assert np.array_equal(smooth(fix_c, h), [s.weights for s in reference_smooth(fix_c, h)])
+
+    def test_negative_posterior_is_refused_like_the_reference(self, fix_a):
+        kern = fix_a.kernel.copy()
+        kern[0, 0, 0, 1] = -0.25  # a signed entry no valid machine has
+        kern[0, 1, 1, 1] = 1.25
+        t = Transducer("signed", fix_a.states, fix_a.actions, fix_a.outputs, kern, [0.5, 0.5])
+        h = History(("0",), ("0",))
+        with pytest.raises(StructureError, match="negative entry"):
+            reference_smooth(t, h)
+        with pytest.raises(StructureError, match="negative entry"):
+            smooth(t, h)
 
     def test_smoothing_can_sharpen_the_past(self, fix_c):
         # seeing later outputs changes the posterior over the start state
         h = History(("0", "0"), ("1", "1"))
-        slices = smooth(fix_c, h)
+        post = smooth(fix_c, h)
         filtered_start = fix_c.initial / fix_c.initial.sum()
-        assert np.abs(slices[0].weights - filtered_start).sum() > 0.1
+        assert np.abs(post[0] - filtered_start).sum() > 0.1
 
 
 def test_bdmsm_constructor_validates():
