@@ -34,9 +34,9 @@ class BeliefState:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise StructureError("belief weights must be a non-empty vector")
-        if np.any(w < -tol):
+        if not np.all(w >= -tol):
             raise StructureError(f"belief has a negative entry: {w.min():.3g}")
-        if abs(w.sum() - 1.0) > max(tol, 1e-9):
+        if not abs(w.sum() - 1.0) <= max(tol, 1e-9):
             raise StructureError(f"belief weights sum to {w.sum():.12g}, not 1")
         w = w.copy()
         w.setflags(write=False)

@@ -1,12 +1,12 @@
 """Word budget guard.
 
 A check bounded by a word length walks up to (|A|*|Y|)**depth words; past
-about 1e7 of them a command no longer answers in seconds.  The walk
-(``oracle._word_levels``) is charged here once, before it starts, and refused
-over the cap.  Its callers are ``oracle.memory_class``,
-``linalg_reduce.gt_validate_interface`` and ``epsilon.epsilon_from_histories``,
-which also charges its future walk from every history.  The cap is
-overridden with the VATWORLD_BUDGET environment variable; ``inf`` lifts it.
+about 1e7 of them a command no longer answers in seconds.  Each such check
+calls ``check`` once, before its walk, and is refused over the cap:
+``oracle.memory_class``, ``linalg_reduce.gt_validate_interface`` and
+``epsilon.epsilon_from_histories``, which also charges its future walk from
+every history.  The word walk (``oracle._word_levels``) charges nothing.  The
+cap is overridden with the VATWORLD_BUDGET environment variable; ``inf`` lifts it.
 """
 
 import math

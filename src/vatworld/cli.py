@@ -14,6 +14,8 @@ import json
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import io as vio
 from .beliefs import build_msp, is_unifilar
 from .core import History, Policy, Transducer, classify_moore, make_card_deck, validate
@@ -83,16 +85,23 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _load_machine(report: RunReport, path: str) -> Transducer:
+def _load_machine(report: RunReport, path: str, finite: bool = True) -> Transducer:
+    """Load a machine file; unless finite is False, refuse a NaN or infinite entry."""
     report.inputs[path] = _digest(path)
-    return vio.load_transducer(path)
+    t = vio.load_transducer(path)
+    if finite and not (np.isfinite(t.kernel).all() and np.isfinite(t.initial).all()):
+        raise StructureError(f"{path}: {validate(t).violations[0]}")  # the first is non_finite
+    return t
 
 
 def _parse_policy(spec: str) -> Policy:
     if spec == "uniform":
         return Policy.uniform()
     if spec.startswith("weighted:"):
-        weights = [float(x) for x in spec.split(":", 1)[1].split(",")]
+        try:
+            weights = [float(x) for x in spec.split(":", 1)[1].split(",")]
+        except ValueError as exc:
+            raise StructureError(f"policy {spec!r}: {exc}") from exc
         return Policy.weighted(weights)
     if spec.startswith("file:"):
         return vio.load_policy(spec.split(":", 1)[1])
@@ -208,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args, report: RunReport) -> int:
-    t = _load_machine(report, args.file)
+    t = _load_machine(report, args.file, finite=False)  # validate names them as violations
     result = validate(t, args.tol)
     report.parameters["tol"] = args.tol
     report.add("valid", result.is_valid)
@@ -243,7 +252,10 @@ def _cmd_prob(args, report: RunReport) -> int:
 def _cmd_sample(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
     policy = _parse_policy(args.policy)
-    acts, outs, states = sample_trajectory(t, policy, args.length, args.seed)
+    try:
+        acts, outs, states = sample_trajectory(t, policy, args.length, args.seed)
+    except ValueError as exc:  # a column or an action law that is not a distribution
+        raise StructureError(f"cannot sample {t.name}: {exc}") from exc
     report.parameters.update({"length": args.length, "seed": args.seed, "policy": policy.describe()})
     report.add("actions", list(acts))
     report.add("outputs", list(outs))

@@ -211,7 +211,7 @@ class GeneralizedTransducer:
         v = np.asarray(v, dtype=float)
         if u.shape != (dims,) or v.shape != (dims,):
             raise StructureError("u and v must be length-dims vectors")
-        if abs(v.sum() - 1.0) > 1e-8:
+        if not abs(v.sum() - 1.0) <= 1e-8:
             raise StructureError(
                 f"v must be a quasi-distribution (components sum to 1), got {v.sum():.12g}"
             )
@@ -310,7 +310,7 @@ class WeightedPolicy(Policy):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise StructureError("weights must be a non-empty vector")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
             raise StructureError("weights must be a probability distribution")
         self.weights = _frozen_array(w)
 
@@ -337,7 +337,7 @@ class HistoryTablePolicy(Policy):
             if not isinstance(h, History):
                 raise StructureError("table keys must be History instances")
             arr = np.asarray(w, dtype=float)
-            if np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-9:
+            if not (np.all(arr >= 0) and abs(arr.sum() - 1.0) <= 1e-9):
                 raise StructureError(f"table entry for {h} is not a distribution")
             checked[h] = _frozen_array(arr)
         self.table = checked
@@ -426,29 +426,26 @@ def validate(t: Transducer, tol: float = DEFAULT_TOL) -> ValidationReport:
             )
         )
     col_mass = kern.sum(axis=(1, 2))  # [a, j]
-    for a in range(len(t.actions)):
-        for j in range(t.n):
-            dev = float(col_mass[a, j] - 1.0)
-            if abs(dev) > tol:
-                found.append(
-                    Violation(
-                        "column_mass",
-                        (t.actions.symbols[a], t.states[j]),
-                        dev,
-                        f"mass for (action {t.actions.symbols[a]}, state {t.states[j]}) "
-                        f"is {col_mass[a, j]:.12g}, off by {dev:.3g}",
-                    )
-                )
-    for j in range(t.n):
-        if t.initial[j] < -tol:
-            found.append(
-                Violation(
-                    "initial_negative",
-                    (t.states[j],),
-                    float(t.initial[j]),
-                    f"initial[{t.states[j]}] = {t.initial[j]:.3g} < 0",
-                )
+    for a, j in np.argwhere(np.abs(col_mass - 1.0) > tol):
+        dev = float(col_mass[a, j] - 1.0)
+        found.append(
+            Violation(
+                "column_mass",
+                (t.actions.symbols[a], t.states[j]),
+                dev,
+                f"mass for (action {t.actions.symbols[a]}, state {t.states[j]}) "
+                f"is {col_mass[a, j]:.12g}, off by {dev:.3g}",
             )
+        )
+    for j in np.flatnonzero(t.initial < -tol):
+        found.append(
+            Violation(
+                "initial_negative",
+                (t.states[j],),
+                float(t.initial[j]),
+                f"initial[{t.states[j]}] = {t.initial[j]:.3g} < 0",
+            )
+        )
     init_dev = float(t.initial.sum() - 1.0)
     if abs(init_dev) > tol:
         found.append(
@@ -529,9 +526,9 @@ def from_pomdp(
         raise StructureError("observation must have shape (n, n_outputs)")
     if initial.shape != (n,):
         raise StructureError("initial must have length n")
-    if np.any(transition < -tol) or np.any(np.abs(transition.sum(axis=2) - 1.0) > tol):
+    if not (np.all(transition >= -tol) and np.all(np.abs(transition.sum(axis=2) - 1.0) <= tol)):
         raise StructureError("transition rows must be probability distributions")
-    if np.any(observation < -tol) or np.any(np.abs(observation.sum(axis=1) - 1.0) > tol):
+    if not (np.all(observation >= -tol) and np.all(np.abs(observation.sum(axis=1) - 1.0) <= tol)):
         raise StructureError("observation rows must be probability distributions")
     n_actions = transition.shape[0]
     n_outputs = observation.shape[1]

@@ -131,19 +131,21 @@ def epsilon_from_histories(
 
     # Positive-probability histories by length, with their forward vectors,
     # and (child id, parent id, last letter) for every history but the empty one.
+    n_letters = len(t.actions) * len(t.outputs)
+    budget.check(1, n_letters, hist_depth, "history clustering")
     histories: list[History] = []
     vecs_of, links = [], []
-    levels = _word_levels([t.initial], t.kernel, hist_depth, "history clustering", _positive)
-    for parent, words, vecs in levels:
-        n_shallow = len(histories)  # ends as the count of histories below hist_depth
+    for parent, words, vecs in _word_levels([t.initial], t.kernel, hist_depth, _positive):
         rows = np.flatnonzero(_positive(words, vecs))
-        child = n_shallow + np.arange(len(rows))
+        child = len(histories) + np.arange(len(rows))
         if words.shape[1]:
             links.append((child, ids[parent[rows]], words[rows, -1]))
         ids = np.full(len(words), -1)  # each row's history id, -1 if not positive
         ids[rows] = child
         histories += [_history(t, word) for word in words[rows]]
         vecs_of.append(vecs[rows])
+        if words.shape[1] < hist_depth:  # the walk may end early, when no history is positive
+            n_shallow = len(histories)
     vecs = np.concatenate(vecs_of)
     mass = vecs.sum(axis=1)
 
@@ -153,11 +155,8 @@ def epsilon_from_histories(
     # immaterial to the max-norm distance and to the index.  Histories
     # sharing b share the signature, so each distinct b is multiplied once.
     # The charge is that of walking every future from every history.
-    n_letters = len(t.actions) * len(t.outputs)
     budget.check(len(histories), n_letters, future_depth, "history clustering")
-    f_levels = _word_levels(
-        [np.ones(t.n)], t.kernel.transpose(0, 1, 3, 2), future_depth, "history clustering"
-    )
+    f_levels = _word_levels([np.ones(t.n)], t.kernel.transpose(0, 1, 3, 2), future_depth)
     next(f_levels)
     f = np.concatenate([np.zeros((0, t.n))] + [rows for _, _, rows in f_levels])
     beliefs, sig_of = np.unique(vecs / mass[:, None], axis=0, return_inverse=True)

@@ -5,7 +5,7 @@ given its actions from every possible start state.  The dimension of the span
 of these vectors lower-bounds the state count of any machine generating the
 same process; projecting the step matrices onto that span gives a (generally
 quasi-probabilistic) realization of exactly that dimension.  Spans come from
-the span walk in ``oracle``, which extends only the histories that grow them.
+the word walk in ``oracle``, extending only the histories that grow them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .core import (
     ValidationReport,
     Violation,
 )
-from .oracle import _boundary, _history, _span_walk, _word_levels
+from . import budget
+from .oracle import _boundary, _history, _span_grower, _word_levels
 
 Source = Union[Transducer, GeneralizedTransducer]
 
@@ -58,13 +59,13 @@ def history_vectors(
     levels.
     """
     final, kern, _ = _boundary(t)
-    a_syms, y_syms = t.actions.symbols, t.outputs.symbols
+    grow, _ = _span_grower(len(final), tol * float(np.linalg.norm(final)))
     columns: dict[History, np.ndarray] = {}
-    for word, vec, direction in _span_walk(final, kern.transpose(0, 1, 3, 2), tol, max_len):
-        if direction is not None:
-            pairs = word[::-1]
-            h = History(tuple(a_syms[a] for a, _ in pairs), tuple(y_syms[y] for _, y in pairs))
-            columns[h] = vec
+    levels = _word_levels([final], kern.transpose(0, 1, 3, 2), max_len, lambda words, vecs: grew)
+    for _, words, vecs in levels:
+        grew = grow(vecs)
+        for r in np.flatnonzero(grew):
+            columns[_history(t, words[r, ::-1])] = vecs[r]
     return HistoryMatrix(columns, max_len)
 
 
@@ -79,10 +80,12 @@ def canonical_dimension(t: Source, tol: float = DEFAULT_TOL) -> int:
 
 def _span_basis(start: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal columns spanning every word vector the walk reaches from start."""
-    directions = [q for _, _, q in _span_walk(start, mats, tol) if q is not None]
-    if not directions:
+    grow, basis = _span_grower(len(start), tol * float(np.linalg.norm(start)))
+    for _ in _word_levels([start], mats, keep=lambda words, vecs: grow(vecs)):
+        pass
+    if not basis:
         raise RuntimeError("word-vector span is degenerate (zero boundary vector)")
-    return np.stack(directions, axis=1)
+    return np.stack(basis, axis=1)
 
 
 def _standard_form(
@@ -152,7 +155,8 @@ def gt_validate_interface(
     n_actions, n_outputs = len(g.actions), len(g.outputs)
     found: list[Violation] = []
     sum_tol = depth * tol
-    levels = _word_levels([g.v], g.matrices, depth, "interface validation")
+    budget.check(1, n_actions * n_outputs, depth, "interface validation")
+    levels = _word_levels([g.v], g.matrices, depth)
     next(levels)
     for length, (_, words, vecs) in enumerate(levels, 1):
         probs = vecs @ g.u

@@ -2,17 +2,20 @@
 
 Word probabilities come straight from the defining matrix products, with no
 reliance on any reduced or derived presentation, so the rest of the library
-can be checked against them.  Questions about all words at once (interface
-equivalence here, the history-vector span in ``linalg_reduce``) go through
-one basis-pruned span walk, which visits at most dim * |A| * |Y| words.
-The span's growth test is shared with the level-span reversibility verdict
-in ``reverse``.  Questions bounded by a word length (the memory-class
-diagnosis here, and the depth-bounded checks elsewhere) go through one
-level-batched word walk, the only place that charges the global word budget.
+can be checked against them.  Every question over words goes through one
+level-batched word walk, ``_word_levels``, whose caller masks the rows to
+extend.  Questions about all words at once (interface equivalence here, the
+history-vector span in ``linalg_reduce``) extend only the words that grow a
+span, ``_span_grower``, so they visit at most dim * |A| * |Y| words; the
+level-span reversibility verdict in ``reverse`` grows a fresh span per level.
+Questions bounded by a word length (the memory-class diagnosis here, and the
+depth-bounded checks elsewhere) enumerate words, so each charges the global
+word budget itself before it walks; the walk charges nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -44,91 +47,67 @@ def _boundary(t: Source) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _span_grower(dims: int, floor: float):
-    """A span that grows one vector at a time, starting empty.
+    """A span that grows row by row, starting empty.
 
-    The returned grow(vec) takes vec's two-pass Gram-Schmidt residual against
-    the span; when its norm is above floor (and the span is not yet the whole
-    space), it adds the unit residual to the span and returns it, else it
-    returns None.
+    Returns (grow, basis).  grow(vecs) takes each row's two-pass Gram-Schmidt
+    residual against the span in turn; when its norm is above floor (and the
+    span is not yet the whole space), it appends the unit residual to basis.
+    It returns the mask of the rows that grew the span.
     """
-    basis = np.empty((dims, dims))
-    rank = 0
+    span = np.empty((dims, dims))  # its first len(basis) rows are basis
+    basis: list[np.ndarray] = []
 
-    def grow(vec: np.ndarray) -> Optional[np.ndarray]:
-        nonlocal rank
-        res = vec
-        for _ in range(2):
-            q = basis[:rank]
-            res = res - (q @ res) @ q
-        norm = float(np.linalg.norm(res))
-        if rank == dims or norm <= floor:
-            return None
-        basis[rank] = res / norm
-        rank += 1
-        return basis[rank - 1]
+    def grow(vecs: np.ndarray) -> np.ndarray:
+        grew = np.zeros(len(vecs), dtype=bool)
+        for r, res in enumerate(vecs):
+            q = span[: len(basis)]
+            if len(q) == dims:
+                break
+            for _ in range(2):
+                res = res - (q @ res) @ q
+            norm = math.sqrt(res @ res)  # the bits of np.linalg.norm(res)
+            if norm > floor:
+                span[len(basis)] = res / norm
+                basis.append(span[len(basis)])
+                grew[r] = True
+        return grew
 
-    return grow
-
-
-def _span_walk(start: np.ndarray, mats: np.ndarray, tol: float, max_len: Optional[int] = None):
-    """Breadth-first walk over the words whose vectors grow a span (Tzeng 1992).
-
-    Yields (word, vector, direction) for every visited word in breadth-first
-    order: word is a tuple of (action, output) index pairs, vector is
-    mats[word[-1]] @ ... @ mats[word[0]] @ start, and direction is the unit
-    residual the vector added to the span, or None when its two-pass
-    Gram-Schmidt residual is at most tol * |start|.  Only words that added a
-    direction are extended, so the visited vectors span every word vector of
-    the same or smaller length, at most dim * |A| * |Y| + 1 words are visited,
-    and the walk stops at the first level that adds nothing or at max_len.
-    """
-    n_outputs, dims = mats.shape[1], mats.shape[2]
-    flat = mats.reshape(-1, dims, dims)
-    grow = _span_grower(dims, tol * float(np.linalg.norm(start)))
-    vec = np.asarray(start, dtype=float)
-    direction = grow(vec)
-    yield (), vec, direction
-    frontier = [((), vec)] if direction is not None else []
-    length = 0
-    while frontier and (max_len is None or length < max_len):
-        length += 1
-        grown = []
-        for word, vec in frontier:
-            for x, child in enumerate(flat @ vec):
-                longer = word + (divmod(x, n_outputs),)
-                direction = grow(child)
-                yield longer, child, direction
-                if direction is not None:
-                    grown.append((longer, child))
-        frontier = grown
+    return grow, basis
 
 
-def _word_levels(starts, mats: np.ndarray, depth: int, what: str, keep=None):
-    """Level-batched breadth-first walk over every word up to a length.
+def _word_levels(starts, mats: np.ndarray, depth: Optional[int] = None, keep=None):
+    """Level-batched breadth-first walk over words: the one word walker.
 
     Yields (parent, words, vecs) for each length 0..depth.  mats is [A, Y, d, d]
     or [A, d, d], flattened to X letters x = a * |Y| + y (or x = a).  words[r]
     holds row r's letters in time order, vecs[r] = mats[x_L] @ ... @ mats[x_1]
     @ start, and parent[r] is the row of the previous level it extends (at
     length 0, its index in starts).  Rows come in (parent, letter) order, so
-    each level is in alphabet order.  keep(words, vecs) masks the rows to
-    extend; without it every row is.  The word budget is charged once, before
-    any work, for len(starts) * X**depth words.
+    each level is in alphabet order.  keep(words, vecs) returns the boolean
+    mask of the rows to extend; without it every row is.  The walk stops
+    after length depth, or sooner at a level whose mask keeps nothing (with
+    depth None, only then).  It charges no word budget: the callers that
+    enumerate words check it first.
     """
     dims = mats.shape[-1]
     step = mats.reshape(-1, dims).T  # row vector @ step = every one-letter child
     n_letters = step.shape[1] // dims
+    letters = np.arange(n_letters)
     vecs = np.asarray(starts, dtype=float).reshape(-1, dims)
-    budget.check(len(vecs), n_letters, depth, what)
     parent = np.arange(len(vecs))
     words = np.zeros((len(vecs), 0), dtype=np.intp)
-    for length in range(depth + 1):
+    for length in itertools.count() if depth is None else range(depth + 1):
         yield parent, words, vecs
         if length == depth:
             return
-        rows = np.arange(len(vecs)) if keep is None else np.flatnonzero(keep(words, vecs))
-        parent = np.repeat(rows, n_letters)
-        words = np.column_stack([words[parent], np.tile(np.arange(n_letters), len(rows))])
+        rows = np.arange(len(vecs)) if keep is None else keep(words, vecs).nonzero()[0]
+        if not len(rows):
+            return
+        parent = rows.repeat(n_letters)
+        children = np.empty((len(rows), n_letters, length + 1), dtype=np.intp)
+        children[:, :, :length] = words[rows, None]
+        children[:, :, length] = letters
+        words = children.reshape(-1, length + 1)
         vecs = (vecs[rows] @ step).reshape(-1, dims)
 
 
@@ -139,9 +118,9 @@ def _positive(words: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def _history(t: Source, word) -> History:
     """The history spelled by a row of flattened letters x = a * |Y| + y."""
-    a_idx, y_idx = np.divmod(np.asarray(word, dtype=np.intp), len(t.outputs))
+    pairs = [divmod(x, len(t.outputs)) for x in np.asarray(word, dtype=np.intp).tolist()]
     return History(
-        tuple(t.actions.symbols[a] for a in a_idx), tuple(t.outputs.symbols[y] for y in y_idx)
+        tuple(t.actions.symbols[a] for a, _ in pairs), tuple(t.outputs.symbols[y] for _, y in pairs)
     )
 
 
@@ -335,14 +314,15 @@ def equivalent(
     joint = np.zeros(kern1.shape[:2] + (n1 + len(start2),) * 2)
     joint[:, :, :n1, :n1] = kern1
     joint[:, :, n1:, n1:] = kern2
-    for word, vec, _ in _span_walk(np.concatenate([start1, start2]), joint, tol, depth):
-        p1, p2 = float(final1 @ vec[:n1]), float(final2 @ vec[n1:])
-        if abs(p1 - p2) > tol:
-            hist = History(
-                tuple(t1.actions.symbols[a] for a, _ in word),
-                tuple(t1.outputs.symbols[y] for _, y in word),
-            )
-            return EquivalenceVerdict(False, depth, CounterExample(hist, p1, p2, abs(p1 - p2)))
+    start = np.concatenate([start1, start2])
+    grow, _ = _span_grower(len(start), tol * float(np.linalg.norm(start)))
+    for _, words, vecs in _word_levels([start], joint, depth, lambda words, vecs: grow(vecs)):
+        p1, p2 = vecs[:, :n1] @ final1, vecs[:, n1:] @ final2
+        bad = np.flatnonzero(np.abs(p1 - p2) > tol)
+        if len(bad):
+            p, q = float(p1[bad[0]]), float(p2[bad[0]])
+            ce = CounterExample(_history(t1, words[bad[0]]), p, q, abs(p - q))
+            return EquivalenceVerdict(False, depth, ce)
     return EquivalenceVerdict(True, depth)
 
 
@@ -364,14 +344,6 @@ def _is_memoryless(t: Transducer, depth: int, tol: float) -> bool:
     canonical action prefix; the factorization check over every word then
     also catches any dependence of those marginals on earlier actions.
     """
-    def expect(words: np.ndarray) -> np.ndarray:
-        return marg[np.arange(words.shape[1]), words].prod(axis=1)
-
-    levels = _word_levels(
-        [t.initial], t.kernel, depth, "memory-class check",
-        keep=lambda words, vecs: (vecs.sum(axis=1) > 0.0) | (expect(words) > 0.0),
-    )
-    next(levels)  # charges the budget before the depth-long table below; nothing to factor
     em = t.emission_marginals()  # [a, y, j]
     tr = t.transition_marginals()  # [a, i, j]
     marg = np.empty((depth, len(t.actions) * len(t.outputs)))
@@ -379,6 +351,17 @@ def _is_memoryless(t: Transducer, depth: int, tol: float) -> bool:
     for step in range(depth):
         marg[step] = (em @ state_dist).reshape(-1)  # flat over (a, y)
         state_dist = tr[0] @ state_dist  # canonical prefix: always action 0
+
+    def expect(words: np.ndarray) -> np.ndarray:
+        return marg[np.arange(words.shape[1]), words].prod(axis=1)
+
+    levels = _word_levels(
+        [t.initial],
+        t.kernel,
+        depth,
+        lambda words, vecs: (vecs.sum(axis=1) > 0.0) | (expect(words) > 0.0),
+    )
+    next(levels)  # nothing to factor at length 0
     return all(
         np.all(np.abs(vecs.sum(axis=1) - expect(words)) <= tol) for _, words, vecs in levels
     )
@@ -394,7 +377,7 @@ def _is_fully_observable(t: Transducer, depth: int, tol: float) -> bool:
     """
     em = t.emission_marginals()  # [a, y, j]
     reference: dict[int, np.ndarray] = {}
-    levels = _word_levels([t.initial], t.kernel, depth - 1, "memory-class check", _positive)
+    levels = _word_levels([t.initial], t.kernel, depth - 1, _positive)
     next(levels, None)  # the first output's distribution is unconstrained
     for _, words, vecs in levels:
         rows = _positive(words, vecs)
@@ -416,6 +399,7 @@ def memory_class(t: Transducer, depth: int = 6, tol: float = DEFAULT_TOL) -> Mem
     """
     if depth < 1:
         raise StructureError(f"depth must be at least 1, got {depth}")
+    budget.check(1, len(t.actions) * len(t.outputs), depth, "memory-class check")
     if _is_memoryless(t, depth, tol):
         return MemoryClass.MEMORYLESS
     if _is_fully_observable(t, depth, tol):

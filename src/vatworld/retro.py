@@ -40,9 +40,9 @@ class BDMSM:
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructureError("posterior matrix must be square")
-        if np.any(m < -tol):
+        if not np.all(m >= -tol):
             raise StructureError(f"posterior matrix has a negative entry: {m.min():.3g}")
-        if abs(m.sum() - 1.0) > tol:
+        if not abs(m.sum() - 1.0) <= tol:
             raise StructureError(f"posterior matrix sums to {m.sum():.12g}, not 1")
         m = m.copy()
         m.setflags(write=False)
@@ -172,10 +172,10 @@ def smooth(t: Transducer, h: History) -> np.ndarray:
     if np.any(z <= 0.0):
         raise ImpossibleHistoryError(f"history {h} has probability 0")
     post[:-1] /= z[:, None]
-    if np.any(post < -_BELIEF_TOL):
+    if not np.all(post >= -_BELIEF_TOL):
         raise StructureError(f"posterior has a negative entry: {post.min():.3g}")
     sums = post.sum(axis=1)
-    off = np.abs(sums - 1.0) > _BELIEF_TOL
+    off = ~(np.abs(sums - 1.0) <= _BELIEF_TOL)
     if np.any(off):
         tau = int(np.argmax(off))
         raise StructureError(f"posterior at {tau} sums to {sums[tau]:.12g}, not 1")

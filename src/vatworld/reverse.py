@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import DEFAULT_TOL, History, Policy, Transducer
 from .errors import StructureError, VatworldError
-from .oracle import _span_grower
+from .oracle import _span_grower, _word_levels
 
 
 @dataclass(frozen=True)
@@ -177,15 +177,13 @@ def check_reversible(
     if horizon < 0:
         raise StructureError(f"horizon must be at least 0, got {horizon}")
     tr = t.transition_marginals()
-    step = tr.reshape(-1, t.n).T  # row vector @ step = the marginal after each action
-    prefixes, m = [()], t.initial[None, :]
-    for tau in range(horizon):
-        if tau:
-            grow = _span_grower(t.n, _NEGLIGIBLE)
-            scaled = m / np.maximum(m.max(axis=0), _NEGLIGIBLE)
-            kept = [r for r, vec in enumerate(scaled) if grow(vec) is not None]
-            prefixes = [prefixes[r] + (a,) for r in kept for a in range(len(t.actions))]
-            m = (m[kept] @ step).reshape(-1, t.n)
+    cells = np.ix_(np.arange(len(t.actions)), np.arange(t.n))  # every (action, next state)
+
+    def keep(prefixes: np.ndarray, m: np.ndarray) -> np.ndarray:
+        grow, _ = _span_grower(t.n, _NEGLIGIBLE)
+        return grow(m / np.maximum(m.max(axis=0), _NEGLIGIBLE))
+
+    for tau, (_, prefixes, m) in enumerate(_word_levels([t.initial], tr, horizon - 1, keep)):
         # joint[p, a, next, prev] for action prefix p then action a
         joint = tr[None] * m[:, None, None, :]
         totals = joint.sum(axis=3)
@@ -193,7 +191,7 @@ def check_reversible(
         cond = joint / np.where(seen, totals, 1.0)[..., None]
         # the first prefix reaching (a, next) sets the reference the others must match
         first = seen.argmax(axis=0)
-        ref = np.take_along_axis(cond, first[None, :, :, None], axis=0)
+        ref = cond[(first,) + cells]  # [a, next, prev]: cond[first[a, next], a, next]
         diff = np.abs(cond - ref).max(axis=3)
         bad = np.argwhere(seen & (diff > tol))
         if len(bad):

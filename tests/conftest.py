@@ -12,6 +12,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from vatworld import budget
 from vatworld.beliefs import BeliefState, BeliefTransducer, is_unifilar
 from vatworld.core import DEFAULT_TOL, Alphabet, History, Transducer, make_card_deck, validate
 from vatworld.epsilon import HistoryClustering
@@ -218,6 +219,124 @@ def path_enum_reverse_generates(t: Transducer, policy, horizon: int = 4, tol: fl
 
 
 # ---------------------------------------------------------------------------
+# Span-walk references: the walkers before they ran on ``oracle._word_levels``,
+# kept verbatim (renamed) so the one-walker code can be checked against them
+# ---------------------------------------------------------------------------
+
+_NEGLIGIBLE = 1e-12
+
+
+def reference_span_grower(dims: int, floor: float):
+    """A span that grows one vector at a time, starting empty.
+
+    The returned grow(vec) takes vec's two-pass Gram-Schmidt residual against
+    the span; when its norm is above floor (and the span is not yet the whole
+    space), it adds the unit residual to the span and returns it, else it
+    returns None.
+    """
+    basis = np.empty((dims, dims))
+    rank = 0
+
+    def grow(vec: np.ndarray) -> Optional[np.ndarray]:
+        nonlocal rank
+        res = vec
+        for _ in range(2):
+            q = basis[:rank]
+            res = res - (q @ res) @ q
+        norm = float(np.linalg.norm(res))
+        if rank == dims or norm <= floor:
+            return None
+        basis[rank] = res / norm
+        rank += 1
+        return basis[rank - 1]
+
+    return grow
+
+
+def reference_span_walk(
+    start: np.ndarray, mats: np.ndarray, tol: float, max_len: Optional[int] = None
+):
+    """Breadth-first walk over the words whose vectors grow a span (Tzeng 1992).
+
+    Yields (word, vector, direction) for every visited word in breadth-first
+    order: word is a tuple of (action, output) index pairs, vector is
+    mats[word[-1]] @ ... @ mats[word[0]] @ start, and direction is the unit
+    residual the vector added to the span, or None when its two-pass
+    Gram-Schmidt residual is at most tol * |start|.  Only words that added a
+    direction are extended, so the visited vectors span every word vector of
+    the same or smaller length, at most dim * |A| * |Y| + 1 words are visited,
+    and the walk stops at the first level that adds nothing or at max_len.
+    """
+    n_outputs, dims = mats.shape[1], mats.shape[2]
+    flat = mats.reshape(-1, dims, dims)
+    grow = reference_span_grower(dims, tol * float(np.linalg.norm(start)))
+    vec = np.asarray(start, dtype=float)
+    direction = grow(vec)
+    yield (), vec, direction
+    frontier = [((), vec)] if direction is not None else []
+    length = 0
+    while frontier and (max_len is None or length < max_len):
+        length += 1
+        grown = []
+        for word, vec in frontier:
+            for x, child in enumerate(flat @ vec):
+                longer = word + (divmod(x, n_outputs),)
+                direction = grow(child)
+                yield longer, child, direction
+                if direction is not None:
+                    grown.append((longer, child))
+        frontier = grown
+
+
+def reference_check_reversible(
+    t: Transducer, horizon: int = 4, tol: float = DEFAULT_TOL
+) -> ReversibilityVerdict:
+    """The level-span reversibility verdict with its own level loop, kept verbatim.
+
+    ``check_reversible`` builds the same levels through ``oracle._word_levels``
+    and must give the same verdict and witness, bit for bit.
+    """
+    if horizon < 0:
+        raise StructureError(f"horizon must be at least 0, got {horizon}")
+    tr = t.transition_marginals()
+    step = tr.reshape(-1, t.n).T  # row vector @ step = the marginal after each action
+    prefixes, m = [()], t.initial[None, :]
+    for tau in range(horizon):
+        if tau:
+            grow = reference_span_grower(t.n, _NEGLIGIBLE)
+            scaled = m / np.maximum(m.max(axis=0), _NEGLIGIBLE)
+            kept = [r for r, vec in enumerate(scaled) if grow(vec) is not None]
+            prefixes = [prefixes[r] + (a,) for r in kept for a in range(len(t.actions))]
+            m = (m[kept] @ step).reshape(-1, t.n)
+        # joint[p, a, next, prev] for action prefix p then action a
+        joint = tr[None] * m[:, None, None, :]
+        totals = joint.sum(axis=3)
+        seen = totals > _NEGLIGIBLE
+        cond = joint / np.where(seen, totals, 1.0)[..., None]
+        # the first prefix reaching (a, next) sets the reference the others must match
+        first = seen.argmax(axis=0)
+        ref = np.take_along_axis(cond, first[None, :, :, None], axis=0)
+        diff = np.abs(cond - ref).max(axis=3)
+        bad = np.argwhere(seen & (diff > tol))
+        if len(bad):
+            p, a, i = bad[0]
+            return ReversibilityVerdict(
+                False,
+                "level-span",
+                horizon,
+                ReversibilityWitness(
+                    tau,
+                    t.actions.symbols[a],
+                    t.states[i],
+                    tuple(t.actions.symbols[x] for x in prefixes[first[a, i]]),
+                    tuple(t.actions.symbols[x] for x in prefixes[p]),
+                    float(diff[p, a, i]),
+                ),
+            )
+    return ReversibilityVerdict(True, "level-span", horizon)
+
+
+# ---------------------------------------------------------------------------
 # Reversal references: every action prefix, every history
 # ---------------------------------------------------------------------------
 
@@ -230,7 +349,8 @@ def exhaustive_check_reversible(t: Transducer, horizon: int = 4, tol: float = 1e
     prefixes at each time tau, so it suits small horizons only.
     """
     tr = t.transition_marginals()
-    levels = _word_levels([t.initial], tr, horizon - 1, "reversibility check")
+    budget.check(1, len(t.actions), horizon - 1, "reversibility check")
+    levels = _word_levels([t.initial], tr, horizon - 1)
     for tau, (_, prefixes, m) in enumerate(levels):
         # joint[p, a, next, prev] for action prefix p then action a
         joint = tr[None] * m[:, None, None, :]
@@ -286,9 +406,8 @@ def history_walk_state_marginals(t: Transducer, policy, horizon: int) -> Margina
     # histories with positive weighted mass, the only ones extended.
     weight = np.ones(1)
     live = np.ones(1, dtype=bool)
-    levels = _word_levels(
-        [t.initial], t.kernel, horizon, "marginal enumeration", lambda words, vecs: live
-    )
+    budget.check(1, n_actions * n_outputs, horizon, "marginal enumeration")
+    levels = _word_levels([t.initial], t.kernel, horizon, lambda words, vecs: live)
     for tau, (parent, words, vecs) in enumerate(levels):
         if tau:
             weight = weight[parent] * adists[parent, words[:, -1] // n_outputs]
@@ -519,7 +638,9 @@ def scan_epsilon_from_histories(
     histories: list[History] = []
     lengths: list[int] = []
     vecs_of: list[np.ndarray] = []
-    levels = _word_levels([t.initial], t.kernel, hist_depth, "history clustering", _positive)
+    n_letters = len(t.actions) * len(t.outputs)
+    budget.check(1, n_letters, hist_depth, "history clustering")
+    levels = _word_levels([t.initial], t.kernel, hist_depth, _positive)
     for length, (_, words, vecs) in enumerate(levels):
         rows = _positive(words, vecs)
         histories += [_history(t, word) for word in words[rows]]
@@ -530,7 +651,8 @@ def scan_epsilon_from_histories(
     # future_depth, level by level in alphabet order, from one batched walk.
     starts = np.concatenate(vecs_of)
     starts /= starts.sum(axis=1, keepdims=True)
-    futures = _word_levels(starts, t.kernel, future_depth, "history clustering")
+    budget.check(len(starts), n_letters, future_depth, "history clustering")
+    futures = _word_levels(starts, t.kernel, future_depth)
     next(futures)
     sigs = np.concatenate(
         [np.zeros((len(starts), 0))]
@@ -615,9 +737,8 @@ def walk_check_predictive(
     succ = np.where(fan == 1, hits.argmax(axis=2), n)
 
     reach = start if len(start) else np.array([n])
-    levels = _word_levels(
-        [candidate.initial], candidate.kernel, depth, "observability check", _positive
-    )
+    budget.check(1, len(hits), depth, "observability check")
+    levels = _word_levels([candidate.initial], candidate.kernel, depth, _positive)
     next(levels)
     for parent, words, vecs in levels:
         last, before = words[:, -1], reach[parent]

@@ -50,6 +50,11 @@ class TestBeliefState:
         with pytest.raises(StructureError):
             BeliefState([1.5, -0.5])
 
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
+    def test_nan_weight_is_refused(self, weights):
+        with pytest.raises(StructureError):
+            BeliefState(weights)
+
     def test_point_mass(self):
         b = BeliefState.point_mass(3, 1)
         np.testing.assert_array_equal(b.weights, [0.0, 1.0, 0.0])

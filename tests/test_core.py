@@ -5,8 +5,10 @@ import pytest
 
 from vatworld.core import (
     Alphabet,
+    GeneralizedTransducer,
     History,
     MooreClass,
+    Policy,
     Transducer,
     classify_moore,
     from_pomdp,
@@ -110,6 +112,26 @@ class TestValidate:
         assert (v.kind, v.where) == ("non_finite", ("s0",))
         assert v.message == "initial[s0] = nan is not finite"
 
+    def test_column_mass_violations_come_in_action_then_state_order(self):
+        rng = np.random.default_rng(11)
+        t = random_transducer(rng, n=4, n_actions=2, n_outputs=2)
+        kern = t.kernel.copy()
+        for a, j, scale in ((1, 0, 0.5), (0, 3, 1.5), (1, 2, 0.25), (0, 1, 0.75)):
+            kern[a, :, :, j] *= scale
+        broken = Transducer("broken", t.states, t.actions, t.outputs, kern, [-0.5, 0.5, 0.5, 0.5])
+        report = validate(broken)
+        assert [(v.kind, v.where) for v in report.violations] == [
+            ("column_mass", ("0", "s1")),
+            ("column_mass", ("0", "s3")),
+            ("column_mass", ("1", "s0")),
+            ("column_mass", ("1", "s2")),
+            ("initial_negative", ("s0",)),
+        ]
+        assert report.violations[0].message == (
+            f"mass for (action 0, state s1) is {kern[0, :, :, 1].sum():.12g}, off by "
+            f"{kern[0, :, :, 1].sum() - 1.0:.3g}"
+        )
+
     def test_structural_errors_raise(self, fix_a):
         with pytest.raises(StructureError):
             Transducer("bad", ["s0"], fix_a.actions, fix_a.outputs, fix_a.kernel, [1.0])
@@ -197,6 +219,30 @@ class TestFromPomdp:
     def test_dimension_mismatch(self):
         with pytest.raises(StructureError):
             from_pomdp(np.ones((2, 3, 2)) / 2, np.eye(3), [1, 0, 0])
+
+    @pytest.mark.parametrize("where", ["transition", "observation"])
+    def test_nan_entry_is_refused(self, where):
+        transition, observation = np.stack([np.eye(2), np.eye(2)]), np.eye(2)
+        (transition if where == "transition" else observation)[0, 0] = np.nan
+        with pytest.raises(StructureError, match=f"{where} rows"):
+            from_pomdp(transition, observation, [1.0, 0.0])
+
+
+class TestLawChecksRefuseNan:
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
+    def test_weighted_policy(self, weights):
+        with pytest.raises(StructureError, match="probability distribution"):
+            Policy.weighted(weights)
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
+    def test_history_table_policy(self, weights):
+        with pytest.raises(StructureError, match="not a distribution"):
+            Policy.from_table({History.empty(): weights})
+
+    @pytest.mark.parametrize("v", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]])
+    def test_generalized_transducer_v(self, v):
+        with pytest.raises(StructureError, match="quasi-distribution"):
+            GeneralizedTransducer(2, ["0"], ["0"], np.zeros((1, 1, 2, 2)), np.ones(2), v)
 
 
 class TestCardDeck:

@@ -306,14 +306,27 @@ class TestCli:
         code, report = run(["validate", str(broken)])
         assert code == 1
 
-    @pytest.mark.parametrize("command", ["validate", "msp", "epsilon"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "validate", "msp", "epsilon", "info", "prob", "sample", "equivalent",
+            "minimize", "dimension", "reduce-gt", "reverse", "smooth",
+        ],
+    )
     def test_nan_kernel_record_is_refused_by_name(self, machine_files, tmp_path, command):
         with open(machine_files["parity-flip"], encoding="utf-8") as fh:
             doc = json.load(fh)
         doc["kernel"][0]["prob"] = float("nan")
         broken = tmp_path / "nan.json"
         broken.write_text(vio.dumps(doc))
-        code, report = run([command, str(broken)])
+        trace = tmp_path / "trace.json"
+        trace.write_text(vio.dumps({"actions": ["1"], "outputs": ["0"]}))
+        extra = {
+            "prob": ["--actions", "1", "--outputs", "0"],
+            "equivalent": [str(broken)],
+            "smooth": ["--trace", str(trace)],
+        }
+        code, report = run([command, str(broken)] + extra.get(command, []))
         rec = doc["kernel"][0]
         entry = f"({rec['output']}, {rec['to']} | {rec['action']}, {rec['from']})"
         named = f"kernel entry {entry} = nan is not finite"
@@ -324,6 +337,40 @@ class TestCli:
         else:
             assert code == 2
             assert report.verdicts[-1]["value"].endswith(named)
+
+    @pytest.mark.parametrize("where", ["kernel", "initial"])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_infinite_entry_is_refused_before_sampling(self, machine_files, tmp_path, where, value):
+        with open(machine_files["mixture-hmm"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if where == "kernel":
+            doc["kernel"][0]["prob"] = value
+        else:
+            doc["initial"][0] = value
+        broken = tmp_path / "inf.json"
+        broken.write_text(vio.dumps(doc))
+        code, report = run(["sample", str(broken)])
+        assert code == 2
+        assert report.verdicts[-1]["value"].endswith(f"= {value} is not finite")
+
+    def test_sample_on_a_negative_entry_is_an_input_error(self, machine_files, tmp_path):
+        with open(machine_files["mixture-hmm"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["kernel"][0]["prob"] = -0.25
+        broken = tmp_path / "negative.json"
+        broken.write_text(vio.dumps(doc))
+        code, report = run(["sample", str(broken), "--length", "50"])
+        assert code == 2
+        assert report.verdicts[-1] == {
+            "name": "error",
+            "value": "cannot sample mixture-hmm: Probabilities are not non-negative",
+        }
+
+    @pytest.mark.parametrize("spec", ["weighted:nan,0.5", "weighted:one,half"])
+    def test_sample_on_a_bad_weighted_policy_is_an_input_error(self, machine_files, spec):
+        code, report = run(["sample", machine_files["parity-flip"], "--policy", spec])
+        assert code == 2
+        assert report.verdicts[-1]["name"] == "error"
 
     def test_info_reports_classes(self, machine_files):
         code, report = run(["info", machine_files["parity-flip"], "--pretty"])

@@ -14,9 +14,11 @@ from vatworld.core import History, Policy, Transducer
 from vatworld.errors import BudgetExceededError, ImpossibleHistoryError, StructureError
 from vatworld.linalg_reduce import reduce_generalized
 from vatworld.minimize import minimize_bisim
+from vatworld.linalg_reduce import history_vectors
 from vatworld.oracle import (
     _history,
     _positive,
+    _span_grower,
     _word_levels,
     MemoryClass,
     equivalent,
@@ -35,9 +37,11 @@ from conftest import (
     positive_histories,
     random_io_moore,
     random_permutation_machine,
+    random_rare_machine,
     random_transducer,
     random_unifilar,
     reference_sample_trajectory,
+    reference_span_walk,
 )
 
 
@@ -329,7 +333,8 @@ class TestWordLevels:
         n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((2, 5), (1, 3), (1, 4)))
         t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
         n_letters = n_a * n_y
-        levels = list(_word_levels([t.initial], t.kernel, depth, "test"))
+        budget.check(1, n_letters, depth, "test")
+        levels = list(_word_levels([t.initial], t.kernel, depth))
         assert len(levels) == depth + 1
         for length, (parent, words, vecs) in enumerate(levels):
             assert [tuple(w) for w in words] == list(
@@ -341,12 +346,96 @@ class TestWordLevels:
                 np.testing.assert_allclose(vec, expect, rtol=1e-12, atol=1e-15)
         walked = [
             _history(t, word)
-            for _, words, vecs in _word_levels([t.initial], t.kernel, depth, "test", _positive)
+            for _, words, vecs in _word_levels([t.initial], t.kernel, depth, _positive)
             for word in words[_positive(words, vecs)]
             if len(word)
         ]
         by_words = sorted(walked, key=lambda h: (len(h), h.actions, h.outputs))
         assert by_words == positive_histories(t, depth)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_no_depth_walks_until_the_mask_keeps_nothing(self, fix_c, depth):
+        def keep(words, vecs):
+            return np.full(len(words), words.shape[1] < depth)
+
+        bounded = list(_word_levels([fix_c.initial], fix_c.kernel, depth))
+        unbounded = list(_word_levels([fix_c.initial], fix_c.kernel, None, keep))
+        assert len(unbounded) == depth + 1
+        for got, expect in zip(unbounded, bounded):
+            for a, b in zip(got, expect):
+                np.testing.assert_array_equal(a, b)
+
+    def test_a_level_that_keeps_nothing_ends_the_walk(self, fix_c):
+        levels = list(_word_levels([fix_c.initial], fix_c.kernel, 5, lambda words, vecs: np.zeros(len(words), bool)))
+        assert len(levels) == 1
+
+
+class TestSpanWalkAgainstTheReference:
+    """The span walks on ``_word_levels`` against the parent's pair-word walk."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(
+            [random_transducer, random_unifilar, random_io_moore, random_rare_machine]
+        ),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+        depth=st.sampled_from([None, 0, 1, 2, 3, 4]),
+    )
+    def test_same_words_grown_rows_and_vectors(self, seed, kind, tol, depth):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((1, 7), (1, 4), (1, 4)))
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        other = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        # forward from the start law (equivalent) and backward from the
+        # all-ones vector (history_vectors, reduce_generalized)
+        for start, mats in ((t.initial, t.kernel), (np.ones(n), t.kernel.transpose(0, 1, 3, 2))):
+            ref = list(reference_span_walk(start, mats, tol, depth))
+            grow, _ = _span_grower(n, tol * float(np.linalg.norm(start)))
+            got = []
+            for _, words, vecs in _word_levels([start], mats, depth, lambda words, vecs: grew):
+                grew = grow(vecs)
+                got += zip(words.tolist(), vecs, grew.tolist())
+            assert [word for word, _, _ in got] == [
+                [a * n_y + y for a, y in word] for word, _, _ in ref
+            ]
+            assert [grown for _, _, grown in got] == [q is not None for _, _, q in ref]
+            for (_, vec, _), (_, expect, _) in zip(got, ref):
+                np.testing.assert_allclose(vec, expect, rtol=1e-12, atol=0.0)
+
+        # ref is now the backward walk, whose grown words are history_vectors' columns
+        columns = history_vectors(t, depth, tol).columns
+        expect = {
+            History(
+                tuple(t.actions.symbols[a] for a, _ in word[::-1]),
+                tuple(t.outputs.symbols[y] for _, y in word[::-1]),
+            ): vec
+            for word, vec, q in ref
+            if q is not None
+        }
+        assert list(columns) == list(expect)
+        for h, vec in columns.items():
+            np.testing.assert_allclose(vec, expect[h], rtol=1e-12, atol=0.0)
+
+        joint = np.zeros((n_a, n_y, 2 * n, 2 * n))
+        joint[:, :, :n, :n], joint[:, :, n:, n:] = t.kernel, other.kernel
+        first = next(
+            (
+                word
+                for word, vec, _ in reference_span_walk(
+                    np.concatenate([t.initial, other.initial]), joint, tol, depth
+                )
+                if abs(vec[:n].sum() - vec[n:].sum()) > tol
+            ),
+            None,
+        )
+        verdict = equivalent(t, other, 2 * n if depth is None else depth, tol)
+        assert verdict.equivalent == (first is None)
+        if first is not None:
+            assert verdict.counterexample.history == History(
+                tuple(t.actions.symbols[a] for a, _ in first),
+                tuple(t.outputs.symbols[y] for _, y in first),
+            )
 
 
 class TestMemoryClass:

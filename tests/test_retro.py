@@ -255,6 +255,17 @@ class TestSmooth:
         with pytest.raises(StructureError, match="negative entry"):
             smooth(t, h)
 
+    @pytest.mark.parametrize("where", ["kernel", "initial"])
+    def test_nan_machine_entry_is_refused(self, fix_a, where):
+        kern, initial = fix_a.kernel.copy(), fix_a.initial.copy()
+        if where == "kernel":
+            kern[1, 0, 1, 0] = np.nan
+        else:
+            initial[1] = np.nan
+        t = Transducer("nan", fix_a.states, fix_a.actions, fix_a.outputs, kern, initial)
+        with pytest.raises(StructureError):
+            smooth(t, History(("1", "1"), ("0", "1")))
+
     def test_smoothing_can_sharpen_the_past(self, fix_c):
         # seeing later outputs changes the posterior over the start state
         h = History(("0", "0"), ("1", "1"))
@@ -268,3 +279,11 @@ def test_bdmsm_constructor_validates():
         BDMSM(np.array([[0.5, 0.1], [0.1, 0.5]]), History.empty())  # sums to 1.2
     with pytest.raises(StructureError):
         BDMSM(np.array([[1.5, 0.0], [0.0, -0.5]]), History.empty())
+
+
+@pytest.mark.parametrize(
+    "matrix", [[[np.nan, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, np.nan]], [[np.nan] * 2] * 2]
+)
+def test_bdmsm_constructor_refuses_nan(matrix):
+    with pytest.raises(StructureError):
+        BDMSM(np.array(matrix), History.empty())

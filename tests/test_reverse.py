@@ -30,6 +30,7 @@ from conftest import (
     random_transducer,
     random_unifilar,
     rank_cap_machine,
+    reference_check_reversible,
 )
 
 MACHINE_KINDS = [random_transducer, random_unifilar, random_io_moore, random_permutation_machine]
@@ -212,6 +213,21 @@ class TestCheckReversible:
             assert not ref.reversible and ref.witness.tau <= got.witness.tau
         if witness_key(ref) == witness_key(exhaustive_check_reversible(t, horizon, 10 * tol)):
             assert_same_witness(got, ref)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(
+            [random_transducer, random_unifilar, random_io_moore, random_rare_machine]
+        ),
+        tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3]),
+        horizon=st.integers(0, 6),
+    )
+    def test_word_levels_give_the_reference_verdict_bit_for_bit(self, seed, kind, tol, horizon):
+        rng = np.random.default_rng(seed)
+        n, n_a, n_y = (int(rng.integers(lo, hi)) for lo, hi in ((1, 7), (1, 4), (1, 4)))
+        t = kind(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        assert check_reversible(t, horizon, tol) == reference_check_reversible(t, horizon, tol)
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6, 1e-3])
     @pytest.mark.parametrize(
