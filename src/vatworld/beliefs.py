@@ -140,23 +140,31 @@ class BeliefTransducer:
         return self.machine.n
 
 
-def build_msp(
-    t: Transducer,
-    tol: float = DEFAULT_TOL,
-    max_states: int = 1000,
-    max_depth: int = 200,
-) -> BeliefTransducer:
+def _intertwining_residual(big: np.ndarray, link: np.ndarray, small: np.ndarray) -> float:
+    """The largest column L1 norm of big_x @ link - link @ small_x over letters x."""
+    gap = big @ link - link @ small  # [a, y, rows, cols]
+    return float(np.abs(gap).sum(axis=-2).max(initial=0.0))
+
+
+def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -> BeliefTransducer:
     """Close the reachable beliefs of ``t`` under one-step updates.
 
     Starts from the machine's initial distribution and explores breadth-first;
     a candidate belief is identified with a known one when their L1 distance
     is within tol, and branches whose emission probability is at most tol are
     pruned.  Raises MspClosureError (with closure diagnostics) rather than
-    truncating silently when the caps are hit, since a truncated belief
-    machine would quietly distort everything built on top of it.  An invalid
-    source, at the belief machine's tolerance max(DEFAULT_TOL, |Y| * tol),
-    raises StructureError with its first violation.
+    truncating silently past ``max_states`` beliefs, which also bounds the
+    depth.  An invalid source, at the belief machine's tolerance
+    max(DEFAULT_TOL, |Y| * tol), or ``max_states`` below 1 raises
+    StructureError.  The result is unifilar by construction and checked once,
+    by its link to the source: the largest column L1 norm of T_x L - L B_x,
+    with L the beliefs as columns, is at most tol (a merged update lies
+    within emit * tol of its belief, a pruned branch carries at most tol);
+    past that by over 8 (n + k) machine epsilons, a RuntimeError reports a
+    construction bug.
     """
+    if max_states < 1:
+        raise StructureError(f"max_states must be at least 1, got {max_states}")
     n_actions, n_outputs = len(t.actions), len(t.outputs)
     valid_tol = max(DEFAULT_TOL, n_outputs * tol)
     source = validate(t, valid_tol)
@@ -206,8 +214,6 @@ def build_msp(
                 if target is None:
                     if len(beliefs) >= max_states:
                         raise _closure_error(f"more than {max_states} beliefs reached")
-                    if depth_of[bi] + 1 > max_depth:
-                        raise _closure_error(f"closure deeper than {max_depth}")
                     target = len(beliefs)
                     beliefs.append(new)
                     index.add(target, key)
@@ -219,6 +225,9 @@ def build_msp(
     kernel = np.zeros((n_actions, n_outputs, k, k))
     for src, a, y, dst, emit in edges:
         kernel[a, y, dst, src] += emit
+    residual = _intertwining_residual(t.kernel, np.stack(beliefs, axis=1), kernel)
+    if not residual <= tol + 8 * (t.n + k) * float(np.finfo(float).eps):
+        raise RuntimeError(f"belief machine is off its beliefs by {residual:.3g}; construction bug")
     initial = np.zeros(k)
     initial[0] = 1.0
     machine = Transducer(
@@ -229,11 +238,6 @@ def build_msp(
         kernel,
         initial,
     )
-    report = validate(machine, valid_tol)
-    if not report.is_valid:
-        raise RuntimeError(f"belief machine failed validation: {report}")
-    if not is_unifilar(machine, tol):
-        raise RuntimeError("belief machine is not unifilar; this is a construction bug")
     payload = tuple(BeliefState(b) for b in beliefs)
     return BeliefTransducer(t, machine, payload)
 

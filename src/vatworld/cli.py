@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -110,6 +111,17 @@ def _parse_policy(spec: str) -> Policy:
     )
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite number at least 0 (NaN and inf would flip verdicts)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number at least 0, got {text!r}")
+    return value
+
+
 def _symbols(raw: str) -> tuple[str, ...]:
     return tuple(s for s in raw.split(",") if s != "")
 
@@ -142,12 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a machine file's probabilistic invariants")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = sub.add_parser("info", help="memory class, Moore class, and unifilarity")
     p.add_argument("file")
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("prob", help="probability of an output word given an action word")
@@ -165,35 +177,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
     p = sub.add_parser("minimize", help="quotient by the coarsest bisimulation")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out")
 
-    p = sub.add_parser("dimension", help="canonical dimension (state-count lower bound)")
+    p = sub.add_parser("dimension", help="dimension of the history-vector span")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    p = sub.add_parser("reduce-gt", help="rank-minimal quasi-probabilistic realization")
+    p = sub.add_parser(
+        "reduce-gt", help="quasi-probabilistic realization (rank-minimal with --both-sides)"
+    )
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--both-sides", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("msp", help="machine of reachable Bayesian beliefs")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--max-states", type=int, default=1000)
-    p.add_argument("--max-depth", type=int, default=200)
     p.add_argument("--out")
 
     p = sub.add_parser("epsilon", help="minimal predictive machine")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--max-states", type=int, default=1000)
-    p.add_argument("--max-depth", type=int, default=200)
     p.add_argument("--from-histories", action="store_true")
     p.add_argument("--hist-depth", type=int, default=4)
     p.add_argument("--future-depth", type=int, default=3)
@@ -203,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--policy", default="uniform")
     p.add_argument("--horizon", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", help="path prefix for per-time backward kernel files")
 
     p = sub.add_parser("smooth", help="state posteriors at every time of a trace")
@@ -320,10 +332,8 @@ def _cmd_reduce_gt(args, report: RunReport) -> int:
 
 def _cmd_msp(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
-    msp = build_msp(t, args.tol, args.max_states, args.max_depth)
-    report.parameters.update(
-        {"tol": args.tol, "max_states": args.max_states, "max_depth": args.max_depth}
-    )
+    msp = build_msp(t, args.tol, args.max_states)
+    report.parameters.update({"tol": args.tol, "max_states": args.max_states})
     report.add("belief_states", msp.n)
     if args.out:
         doc = vio.transducer_to_doc(msp.machine)
@@ -350,7 +360,7 @@ def _cmd_epsilon(args, report: RunReport) -> int:
         report.add("states", machine.n)
         report.add("stabilized", clustering.stabilized)
     else:
-        eps = epsilon_transducer(t, args.tol, args.max_states, args.max_depth)
+        eps = epsilon_transducer(t, args.tol, args.max_states)
         machine = eps.machine
         report.add("route", eps.provenance["route"])
         report.add("states", machine.n)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import budget
 from .core import DEFAULT_TOL, History, Transducer
-from .beliefs import build_msp, is_unifilar
+from .beliefs import _intertwining_residual, build_msp, is_unifilar
 from .errors import StructureError
 from .minimize import _membership, _split_by_signature, coarsest_bisimulation, quotient
 from .oracle import _history, _positive, _word_levels, equivalent
@@ -38,17 +38,8 @@ class EpsilonMachine:
         return self.machine.n
 
 
-def _intertwining_residual(big: np.ndarray, link: np.ndarray, small: np.ndarray) -> float:
-    """The largest column L1 norm of big_x @ link - link @ small_x over letters x."""
-    gap = big @ link - link @ small  # [a, y, rows, cols]
-    return float(np.abs(gap).sum(axis=-2).max(initial=0.0))
-
-
 def epsilon_transducer(
-    t: Transducer,
-    tol: float = DEFAULT_TOL,
-    max_states: int = 1000,
-    max_depth: int = 200,
+    t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000
 ) -> EpsilonMachine:
     """Minimal predictive machine: belief closure followed by bisimulation quotient.
 
@@ -60,14 +51,13 @@ def epsilon_transducer(
     1'P = 1' and P e0 is the result's start, telescoping p_t(w) - p_B(w) over
     the letters of w (1'T_... has entries in [0, 1], |B_... e0|_1 <= 1) gives
     |p_eps(w) - p_t(w)| <= |w| (delta_B + delta_q), the ``faithfulness_residual``.
-    Merged updates lie within emit * tol of their belief and pruned branches
-    carry at most tol, so delta_B <= tol; B keeps only edges above tol, so a
+    ``build_msp`` keeps delta_B <= tol; B keeps only edges above tol, so a
     class routes into its leader's class within tol of the leader, and the
     averaged quotient column within 2 tol of each member: delta_q <= 2 tol.
     Past 3 tol, or with 1'L off 1', by over 8 (n + k) machine epsilons, a
     RuntimeError reports a construction bug.
     """
-    msp = build_msp(t, tol, max_states, max_depth)
+    msp = build_msp(t, tol, max_states)
     part = coarsest_bisimulation(msp.machine, tol)
     machine = quotient(msp.machine, part, tol)
     if not is_unifilar(machine, tol):

@@ -18,11 +18,21 @@ from .errors import StructureError
 
 
 def _require(doc: dict, key: str, kind, where: str):
+    """doc[key], refused unless it is a ``kind``; true and false are not numbers."""
     if key not in doc:
         raise StructureError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
         raise StructureError(f"{where}: field {key!r} has the wrong type")
+    return value
+
+
+def _require_numbers(doc: dict, key: str, where: str) -> list:
+    """doc[key] as a list of numbers: strings, true and false are refused."""
+    value = _require(doc, key, list, where)
+    for k, x in enumerate(value):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise StructureError(f"{where}: field {key!r} item {k} is not a number: {x!r}")
     return value
 
 
@@ -67,7 +77,7 @@ def transducer_from_doc(doc: dict, where: str = "transducer") -> Transducer:
     states = _require(doc, "states", list, where)
     actions = _require(doc, "actions", list, where)
     outputs = _require(doc, "outputs", list, where)
-    initial = _require(doc, "initial", list, where)
+    initial = _require_numbers(doc, "initial", where)
     records = _require(doc, "kernel", list, where)
     state_idx = {str(s): k for k, s in enumerate(states)}
     act = Alphabet(actions)
@@ -123,8 +133,8 @@ def generalized_from_doc(doc: dict, where: str = "generalized transducer") -> Ge
     dims = _require(doc, "dims", int, where)
     act = Alphabet(_require(doc, "actions", list, where))
     out = Alphabet(_require(doc, "outputs", list, where))
-    u = _require(doc, "u", list, where)
-    v = _require(doc, "v", list, where)
+    u = _require_numbers(doc, "u", where)
+    v = _require_numbers(doc, "v", where)
     mats = np.zeros((len(act), len(out), dims, dims))
     seen = set()
     for k, rec in enumerate(_require(doc, "matrices", list, where)):
@@ -163,7 +173,7 @@ def policy_from_doc(doc: dict, where: str = "policy") -> Policy:
     if kind == "uniform":
         return Policy.uniform()
     if kind == "weighted":
-        return Policy.weighted(_require(doc, "weights", list, where))
+        return Policy.weighted(_require_numbers(doc, "weights", where))
     if kind == "table":
         entries = _require(doc, "entries", list, where)
         table = {}
@@ -173,7 +183,7 @@ def policy_from_doc(doc: dict, where: str = "policy") -> Policy:
                 _require(rec, "actions", list, spot),
                 _require(rec, "outputs", list, spot),
             )
-            table[h] = _require(rec, "dist", list, spot)
+            table[h] = _require_numbers(rec, "dist", spot)
         return Policy.from_table(table)
     raise StructureError(f"{where}: unknown policy kind {kind!r}")
 

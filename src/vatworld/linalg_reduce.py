@@ -2,10 +2,13 @@
 
 For each history h, the vector w(h) holds the probability of h's outputs
 given its actions from every possible start state.  The dimension of the span
-of these vectors lower-bounds the state count of any machine generating the
-same process; projecting the step matrices onto that span gives a (generally
-quasi-probabilistic) realization of exactly that dimension.  Spans come from
-the word walk in ``oracle``, extending only the histories that grow them.
+of these vectors measures this machine, states no start reaches included, so
+it bounds nothing; projecting the step matrices onto that span gives a
+(generally quasi-probabilistic) realization of exactly that dimension.  The
+dual pass onto the forward vectors' span (``both_sides``) leaves the
+two-sided dimension, which lower-bounds the state count of any machine
+generating the same process.  Spans come from the word walk in ``oracle``,
+extending only the histories that grow them.
 """
 
 from __future__ import annotations
@@ -70,7 +73,11 @@ def history_vectors(
 
 
 def canonical_dimension(t: Source, tol: float = DEFAULT_TOL) -> int:
-    """Dimension of the history-vector span (a state-count lower bound).
+    """Dimension of this machine's history-vector span.
+
+    Not a lower bound on the states of an equivalent machine: an unreachable
+    state can add a dimension.  The two-sided dimension,
+    ``reduce_generalized(t, tol, both_sides=True).dims``, is one.
 
     This is the number of histories the span walk keeps: exact up to the
     tolerance, since the walk runs until the span closes (Tzeng 1992).

@@ -233,11 +233,13 @@ def sample_trajectory(
     distribution raises the same ValueError at the same step (a column never
     visited raises nothing).
     """
+    if length < 0:
+        raise StructureError(f"length must be at least 0, got {length}")
     rng = np.random.default_rng(seed)
     n = t.n
     n_actions = len(t.actions)
     state = int(rng.choice(n, p=t.initial / t.initial.sum()))
-    uniforms = rng.random(2 * max(length, 0)).tolist()
+    uniforms = rng.random(2 * length).tolist()
     prefixes = policy.key_prefixes()
     action_cdf = None
     columns: dict[tuple[int, int], list] = {}

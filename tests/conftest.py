@@ -1052,6 +1052,39 @@ def rank_cap_machine(rare: float = 1e-8, leak: float = 1e-7) -> Transducer:
     )
 
 
+def rare_swap_machine(mass: float = 1e-11) -> Transducer:
+    """States s0, r, s, r2, s2, z, z2, z3; actions K, L, X, Y; one output.
+
+    K holds every state; L holds every state but r, which stays with
+    probability 0.95 and moves to s with 0.05; X swaps r with r2 and s with
+    s2; Y sends r2 and s2 to z, then z to z2, z2 to z3 and z3 to s0, and holds
+    the rest.  r and s start with the given mass each.  The marginals after
+    K and L differ by 0.05 * mass, below every absolute floor, but by 5 per
+    cent of r's and s's mass, and given Y and next state z the prefixes
+    (K, X) and (L, X) disagree on the previous state by 0.025.
+    """
+    states = ["s0", "r", "s", "r2", "s2", "z", "z2", "z3"]
+    at = {name: k for k, name in enumerate(states)}
+    kernel = np.zeros((4, 1, 8, 8))
+    kernel[:, 0] = np.eye(8)
+    kernel[1, 0, at["s"], at["r"]] = 0.05
+    kernel[1, 0, at["r"], at["r"]] = 0.95
+    moves = {
+        2: [("r", "r2"), ("r2", "r"), ("s", "s2"), ("s2", "s")],
+        3: [("r2", "z"), ("s2", "z"), ("z", "z2"), ("z2", "z3"), ("z3", "s0")],
+    }
+    for a, pairs in moves.items():
+        for src, dst in pairs:
+            kernel[a, 0, :, at[src]] = 0.0
+            kernel[a, 0, at[dst], at[src]] = 1.0
+    initial = np.zeros(8)
+    initial[[at["r"], at["s"]]] = mass
+    initial[at["s0"]] = 1.0 - 2.0 * mass
+    return Transducer(
+        "rare-swap", states, Alphabet(["K", "L", "X", "Y"]), Alphabet(["y"]), kernel, initial
+    )
+
+
 def pair_machine() -> Transducer:
     """A reversible 4-state, 3-action machine, neither action-agnostic nor action-counifilar.
 

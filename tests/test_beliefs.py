@@ -279,6 +279,27 @@ class TestBuildMsp:
         t = property_machine(kind, seed)
         assert _closure(build_msp, t, tol) == _closure(scan_build_msp, t, tol)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(PROPERTY_KINDS),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_every_build_is_unifilar_and_within_tol_of_its_beliefs(self, seed, kind, tol):
+        # the link certificate: |T_x L - L B_x| per column, L the beliefs as columns
+        t = property_machine(kind, seed)
+        try:
+            msp = build_msp(t, tol, max_states=200)
+        except MspClosureError:
+            return
+        assert loop_is_unifilar(msp.machine, tol)
+        link = np.stack([b.weights for b in msp.state_payload], axis=1)
+        allowance = 8 * (t.n + msp.n) * float(np.finfo(float).eps)
+        for a in range(len(t.actions)):
+            for y in range(len(t.outputs)):
+                gap = t.kernel[a, y] @ link - link @ msp.machine.kernel[a, y]
+                assert np.abs(gap).sum(axis=0).max() <= tol + allowance
+
     def test_belief_simplex_closure(self, fix_b, fix_c):
         for t in (fix_b, fix_c):
             for h in positive_histories(t, 3):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vatworld import io as vio
 from vatworld.beliefs import build_msp
-from vatworld.cli import run
+from vatworld.cli import main, run
 from vatworld.core import History, Transducer, make_card_deck
 from vatworld.errors import StructureError
 from vatworld.fixtures import ALL_FIXTURES
@@ -130,6 +130,41 @@ class TestHistoryAndPolicyFiles:
             vio.policy_from_doc({"kind": "nonsense"})
 
 
+def _numbers_field(field: str, bad, fix_a, fix_c):
+    """(reader, document, where) with item 0 of ``field`` replaced by ``bad``."""
+    if field == "initial":
+        doc = vio.transducer_to_doc(fix_a)
+        doc["initial"][0] = bad
+        return vio.transducer_from_doc, doc, "m.json"
+    if field in ("u", "v"):
+        doc = vio.generalized_to_doc(reduce_generalized(fix_c))
+        doc[field][0] = bad
+        return vio.generalized_from_doc, doc, "g.json"
+    if field == "weights":
+        return vio.policy_from_doc, {"kind": "weighted", "weights": [bad, 1]}, "p.json"
+    entry = {"actions": [], "outputs": [], "dist": [bad, 1]}
+    return vio.policy_from_doc, {"kind": "table", "entries": [entry]}, "p.json"
+
+
+class TestNonNumbersAreRefused:
+    @pytest.mark.parametrize("bad", ["a", "0.5", True, None, [0.5]])
+    @pytest.mark.parametrize("field", ["initial", "u", "v", "weights", "dist"])
+    def test_list_item(self, fix_a, fix_c, field, bad):
+        read, doc, where = _numbers_field(field, bad, fix_a, fix_c)
+        with pytest.raises(StructureError) as err:
+            read(doc, where)
+        assert str(err.value).startswith(where)
+        assert str(err.value).endswith(f"field {field!r} item 0 is not a number: {bad!r}")
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_kernel_prob_is_no_bool(self, fix_a, bad):
+        doc = vio.transducer_to_doc(fix_a)
+        doc["kernel"][1]["prob"] = bad
+        wrong = r"^m.json: kernel\[1\]: field 'prob' has the wrong type$"
+        with pytest.raises(StructureError, match=wrong):
+            vio.transducer_from_doc(doc, "m.json")
+
+
 _JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -193,6 +228,9 @@ class TestCanonicalText:
                 json.dumps(doc, indent=2)
             with pytest.raises(TypeError):
                 vio.dumps(doc)
+
+
+_BAD_DIST_ENTRY = {"actions": [], "outputs": [], "dist": ["x", 1]}
 
 
 @pytest.fixture
@@ -372,6 +410,61 @@ class TestCli:
         assert code == 2
         assert report.verdicts[-1]["name"] == "error"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*argv, f"--tol={value}"]
+            for argv in (
+                ["validate", "parity-flip"],
+                ["info", "parity-flip"],
+                ["equivalent", "parity-flip", "delay-channel"],
+                ["minimize", "parity-flip"],
+                ["dimension", "mixture-hmm"],
+                ["reduce-gt", "mixture-hmm"],
+                ["msp", "parity-flip"],
+                ["epsilon", "parity-flip"],
+                ["reverse", "card-deck-2r2b-flip-shuffle"],
+            )
+            for value in ("nan", "inf", "-inf", "-1e-9")
+        ]
+        + [
+            ["sample", "parity-flip", "--length", "-3"],
+            ["msp", "parity-flip", "--max-states", "0"],
+            ["epsilon", "parity-flip", "--max-states", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_out_of_range_number_exit_two(self, machine_files, capsys, argv):
+        assert main([machine_files.get(a, a) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert "must be at least" in out or "expected a finite number at least 0" in err
+
+    @pytest.mark.parametrize(
+        "command, policy",
+        [
+            ("validate", None),
+            ("sample", None),
+            ("sample", {"kind": "weighted", "weights": ["x", 1]}),
+            ("sample", {"kind": "table", "entries": [_BAD_DIST_ENTRY]}),
+            ("reverse", {"kind": "table", "entries": [_BAD_DIST_ENTRY]}),
+        ],
+        ids=["validate-initial", "sample-initial", "sample-weights", "sample-dist", "reverse-dist"],
+    )
+    def test_non_number_in_a_file_exit_two(self, machine_files, tmp_path, command, policy):
+        path, extra = machine_files["parity-flip"], []
+        if policy is None:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            doc["initial"] = ["x", 1]
+            path = tmp_path / "bad.json"
+            path.write_text(vio.dumps(doc))
+        else:
+            (tmp_path / "policy.json").write_text(vio.dumps(policy))
+            extra = ["--policy", f"file:{tmp_path / 'policy.json'}"]
+        code, report = run([command, str(path)] + extra)
+        assert code == 2
+        assert report.verdicts[-1]["value"].endswith("item 0 is not a number: 'x'")
+
     def test_info_reports_classes(self, machine_files):
         code, report = run(["info", machine_files["parity-flip"], "--pretty"])
         assert code == 0
@@ -497,6 +590,22 @@ class TestCli:
         assert code == 2
         assert report.verdicts[-1]["name"] == "error"
         assert report.verdicts[-1]["value"].endswith(violation)
+
+    @pytest.mark.parametrize("command", ["msp", "epsilon"])
+    def test_pruned_mass_past_the_source_tolerance_is_certified(self, tmp_path, command):
+        # Valid at 2e-3, but the pruned y branch (0.0009 <= tol) leaves the
+        # one belief's column at 0.9976: off by 0.0024, within tol of its link.
+        kernel = np.zeros((1, 2, 2, 2))
+        kernel[0, 0, 0, 0], kernel[0, 0, 1, 1], kernel[0, 1, 0, 1] = 0.9985, 0.9976, 0.0009
+        path = tmp_path / "leaky.json"
+        t = Transducer("leaky", ["a", "b"], ["go"], ["x", "y"], kernel, [0, 1])
+        vio.save_transducer(t, path)
+        code, report = run([command, str(path), "--tol", "1e-3"])
+        assert code == 0
+        got = {v["name"]: v["value"] for v in report.verdicts}
+        assert got.get("belief_states", got.get("states")) == 1
+        if command == "epsilon":
+            assert got["faithfulness_residual"] == pytest.approx(0.0009, rel=1e-9)
 
     def test_epsilon_reports_the_faithfulness_residual(self, machine_files):
         code, report = run(["epsilon", machine_files["parity-flip-redundant"]])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vatworld.core import Alphabet, GeneralizedTransducer, History
+from vatworld.core import Alphabet, GeneralizedTransducer, History, Transducer
 from vatworld.linalg_reduce import (
     canonical_dimension,
     gt_validate_interface,
@@ -68,6 +68,17 @@ class TestCanonicalDimension:
     def test_strictly_smaller_for_redundant_fixtures(self, fix_b, fix_c):
         assert canonical_dimension(fix_b) < fix_b.n
         assert canonical_dimension(fix_c) < fix_c.n
+
+    def test_unreachable_state_counts_so_only_the_two_sided_dimension_bounds(self, fix_a):
+        # parity flip plus an absorbing state no start reaches: fix_a's process
+        kernel = np.zeros((2, 2, 3, 3))
+        kernel[:, :, :2, :2] = fix_a.kernel
+        kernel[:, 0, 2, 2] = 1.0
+        states = ["s0", "s1", "dead"]
+        t = Transducer("dead-end", states, fix_a.actions, fix_a.outputs, kernel, [1, 0, 0])
+        assert equivalent(t, fix_a).equivalent
+        assert canonical_dimension(t) == reduce_generalized(t).dims == 3
+        assert reduce_generalized(t, both_sides=True).dims == 2
 
 
 class TestReduceGeneralized:

@@ -30,6 +30,7 @@ from conftest import (
     random_transducer,
     random_unifilar,
     rank_cap_machine,
+    rare_swap_machine,
     reference_check_reversible,
 )
 
@@ -275,6 +276,26 @@ class TestCheckReversible:
             ("leak",),
         )
         assert w.max_difference == pytest.approx(2e-8, rel=1e-3)
+
+    @pytest.mark.parametrize("mass", [1e-11, 3e-12])
+    @pytest.mark.parametrize("horizon", [3, 4])
+    def test_rare_swap_machine_needs_the_per_state_scaling(self, horizon, mass):
+        # K and L move under 1e-12 of mass, 5 per cent of r's and s's: only
+        # marginals scaled per state keep L's prefix, whose (L, X) differs
+        # from (K, X) by 0.025 given Y and z.  At tol 1e-3 and below, time 1
+        # already shows a difference, with or without the scaling.
+        t = rare_swap_machine(mass)
+        verdict = check_reversible(t, horizon=horizon, tol=1e-2)
+        assert_same_witness(verdict, exhaustive_check_reversible(t, horizon=horizon, tol=1e-2))
+        w = verdict.witness
+        assert (w.tau, w.action, w.next_state, w.prefix_a, w.prefix_b) == (
+            2,
+            "Y",
+            "z",
+            ("K", "X"),
+            ("L", "X"),
+        )
+        assert w.max_difference == pytest.approx(0.025, rel=1e-9)
 
     def test_pair_machine_takes_the_level_span_route(self):
         t = pair_machine()
