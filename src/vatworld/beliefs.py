@@ -146,6 +146,14 @@ def _intertwining_residual(big: np.ndarray, link: np.ndarray, small: np.ndarray)
     return float(np.abs(gap).sum(axis=-2).max(initial=0.0))
 
 
+def _link_allowance(big: np.ndarray, link: np.ndarray, tol: float) -> float:
+    """How far a belief closure at tol may leave its link; see ``build_msp``."""
+    pushed = big @ link  # T_x b for each letter x and belief b
+    mass = np.abs(pushed).sum(axis=-2)  # its sum plus twice its negative mass
+    negative = float((mass - pushed.sum(axis=-2)).max(initial=0.0))
+    return tol * max(1.0, float(mass.max(initial=0.0))) + negative
+
+
 def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -> BeliefTransducer:
     """Close the reachable beliefs of ``t`` under one-step updates.
 
@@ -157,11 +165,12 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     depth.  An invalid source, at the belief machine's tolerance
     max(DEFAULT_TOL, |Y| * tol), or ``max_states`` below 1 raises
     StructureError.  The result is unifilar by construction and checked once,
-    by its link to the source: the largest column L1 norm of T_x L - L B_x,
-    with L the beliefs as columns, is at most tol (a merged update lies
-    within emit * tol of its belief, a pruned branch carries at most tol);
-    past that by over 8 (n + k) machine epsilons, a RuntimeError reports a
-    construction bug.
+    by its link to the source, the largest column L1 norm of T_x L - L B_x
+    with L the beliefs as columns.  A merged update T_x b lies within
+    tol * |T_x b|_1 of its belief times emit, and a pruned one (emit <= tol)
+    leaves |T_x b|_1, emit plus twice its negative mass: tol on a stochastic
+    source.  Past that ``_link_allowance`` by over 8 (n + k) machine
+    epsilons, a RuntimeError reports a construction bug.
     """
     if max_states < 1:
         raise StructureError(f"max_states must be at least 1, got {max_states}")
@@ -176,8 +185,6 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     index.add(0, index.project(start[None])[0])
     depth_of = [0]
     edges: list[tuple[int, int, int, int, float]] = []
-    queue = [0]
-    head = 0
 
     def _closure_error(msg: str) -> MspClosureError:
         known = np.array(beliefs)
@@ -194,10 +201,7 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
             nearest_pair_distance=nearest,
         )
 
-    while head < len(queue):
-        bi = queue[head]
-        head += 1
-        b = beliefs[bi]
+    for bi, b in enumerate(beliefs):  # breadth-first: beliefs grows as it is walked
         for a in range(n_actions):
             for y in range(n_outputs):
                 raw = t.kernel[a, y] @ b
@@ -218,15 +222,16 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
                     beliefs.append(new)
                     index.add(target, key)
                     depth_of.append(depth_of[bi] + 1)
-                    queue.append(target)
                 edges.append((bi, a, y, target, emit))
 
     k = len(beliefs)
     kernel = np.zeros((n_actions, n_outputs, k, k))
     for src, a, y, dst, emit in edges:
         kernel[a, y, dst, src] += emit
-    residual = _intertwining_residual(t.kernel, np.stack(beliefs, axis=1), kernel)
-    if not residual <= tol + 8 * (t.n + k) * float(np.finfo(float).eps):
+    link = np.stack(beliefs, axis=1)
+    residual = _intertwining_residual(t.kernel, link, kernel)
+    rounding = 8 * (t.n + k) * float(np.finfo(float).eps)
+    if not residual <= _link_allowance(t.kernel, link, tol) + rounding:
         raise RuntimeError(f"belief machine is off its beliefs by {residual:.3g}; construction bug")
     initial = np.zeros(k)
     initial[0] = 1.0

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import budget
 from .core import DEFAULT_TOL, History, Transducer
-from .beliefs import _intertwining_residual, build_msp, is_unifilar
+from .beliefs import _intertwining_residual, _link_allowance, build_msp, is_unifilar
 from .errors import StructureError
 from .minimize import _membership, _split_by_signature, coarsest_bisimulation, quotient
 from .oracle import _history, _positive, _word_levels, equivalent
@@ -51,11 +51,11 @@ def epsilon_transducer(
     1'P = 1' and P e0 is the result's start, telescoping p_t(w) - p_B(w) over
     the letters of w (1'T_... has entries in [0, 1], |B_... e0|_1 <= 1) gives
     |p_eps(w) - p_t(w)| <= |w| (delta_B + delta_q), the ``faithfulness_residual``.
-    ``build_msp`` keeps delta_B <= tol; B keeps only edges above tol, so a
-    class routes into its leader's class within tol of the leader, and the
-    averaged quotient column within 2 tol of each member: delta_q <= 2 tol.
-    Past 3 tol, or with 1'L off 1', by over 8 (n + k) machine epsilons, a
-    RuntimeError reports a construction bug.
+    ``build_msp`` keeps delta_B within ``_link_allowance`` (tol on a stochastic
+    source); B keeps only edges above tol, so a class routes into its leader's
+    class within tol of the leader, and the averaged quotient column within
+    2 tol of each member: delta_q <= 2 tol.  Past both, or with 1'L off 1', by
+    over 8 (n + k) machine epsilons, a RuntimeError reports a construction bug.
     """
     msp = build_msp(t, tol, max_states)
     part = coarsest_bisimulation(msp.machine, tol)
@@ -67,7 +67,8 @@ def epsilon_transducer(
     residual += _intertwining_residual(machine.kernel, _membership(part), msp.machine.kernel)
     mass_gap = float(np.abs(link.sum(axis=0) - 1.0).max())
     rounding = 8 * (t.n + msp.n) * float(np.finfo(float).eps)
-    if not (residual <= 3 * tol + rounding and mass_gap <= rounding):
+    allowance = _link_allowance(t.kernel, link, tol) + 2 * tol + rounding
+    if not (residual <= allowance and mass_gap <= rounding):
         msg = f"residual {residual:.3g}, belief mass off by {mass_gap:.3g}"
         raise RuntimeError(f"reduced belief machine is not certified faithful: {msg}")
     return EpsilonMachine(
@@ -247,8 +248,7 @@ def canonical_form(t: Transducer, tol: float = DEFAULT_TOL) -> Transducer:
                 if succ not in seen:
                     seen.add(succ)
                     order.append(succ)
-    if len(order) != t.n:
-        order.extend(sorted(set(range(t.n)) - seen))
+    order.extend(sorted(set(range(t.n)) - seen))  # unreachable states last
     perm = np.array(order)
     kernel = t.kernel[:, :, perm][:, :, :, perm]
     return Transducer(

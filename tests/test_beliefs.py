@@ -35,7 +35,11 @@ from conftest import (
 
 
 def _closure(build, t, tol):
-    """The belief machine's document and payloads, or the refusal it raised."""
+    """The belief machine's document and payloads, or the refusal it raised.
+
+    The reference still re-validates its output, so on a source valid only
+    within tolerance its RuntimeError is not a refusal build_msp shares.
+    """
     try:
         msp = build(t, tol, max_states=60)
     except (MspClosureError, RuntimeError) as exc:
@@ -278,6 +282,14 @@ class TestBuildMsp:
     def test_same_machine_or_refusal_as_the_linear_scan(self, seed, kind, tol):
         t = property_machine(kind, seed)
         assert _closure(build_msp, t, tol) == _closure(scan_build_msp, t, tol)
+
+    def test_reference_refuses_a_leaky_source_the_link_certifies(self):
+        # valid at 2e-3, but pruning y leaves the belief column 0.0024 short
+        kernel = np.zeros((1, 2, 2, 2))
+        kernel[0, 0, 0, 0], kernel[0, 0, 1, 1], kernel[0, 1, 0, 1] = 0.9985, 0.9976, 0.0009
+        t = Transducer("leaky", ["a", "b"], ["go"], ["x", "y"], kernel, [0, 1])
+        assert _closure(scan_build_msp, t, 1e-3)[0] == "RuntimeError"
+        assert build_msp(t, 1e-3).n == 1
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(

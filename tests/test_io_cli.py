@@ -607,6 +607,31 @@ class TestCli:
         if command == "epsilon":
             assert got["faithfulness_residual"] == pytest.approx(0.0009, rel=1e-9)
 
+    @pytest.mark.parametrize("command", ["msp", "epsilon"])
+    @pytest.mark.parametrize(
+        "entries, tol",
+        [
+            # column a sums to 1.015 (valid at 2e-2): the x update merges into
+            # the start belief and leaves emit * 0.00995 = 0.0101 > tol
+            ({(0, 0, 0): 1.00995, (0, 1, 0): 0.00505}, "1e-2"),
+            # a -5e-10 entry (valid at 1e-9) is a pruned branch of mass 5e-10
+            ({(0, 0, 0): 1.0, (1, 1, 0): -5e-10}, "0"),
+            # the pruned y branch emits 0.01 but carries L1 mass 0.05
+            ({(0, 0, 0): 0.99, (1, 0, 0): 0.03, (1, 1, 0): -0.02}, "1e-2"),
+        ],
+    )
+    def test_a_source_valid_only_within_tolerance_is_certified(self, tmp_path, command, entries, tol):
+        kernel = np.zeros((1, 2, 2, 2))
+        kernel[0, 0, 1, 1] = 1.0
+        for (y, i, j), p in entries.items():
+            kernel[0, y, i, j] = p
+        path = tmp_path / "leaky.json"
+        vio.save_transducer(Transducer("leaky", ["a", "b"], ["go"], ["x", "y"], kernel, [1, 0]), path)
+        code, report = run([command, str(path), "--tol", tol])
+        assert code == 0
+        got = {v["name"]: v["value"] for v in report.verdicts}
+        assert got.get("belief_states", got.get("states")) == 1
+
     def test_epsilon_reports_the_faithfulness_residual(self, machine_files):
         code, report = run(["epsilon", machine_files["parity-flip-redundant"]])
         assert code == 0
