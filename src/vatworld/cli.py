@@ -9,6 +9,7 @@ through an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -79,17 +80,19 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _digest(path: str) -> str:
-    h = hashlib.sha256()
+def _read_input(report: RunReport, path: str) -> str:
+    """An input file's text from one read: ``report.inputs`` gets the SHA-256
+    of its bytes, and the text is decoded as text mode does (UTF-8, universal
+    newlines), so error positions are those of the file opened as text."""
     with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+        raw = fh.read()
+    report.inputs[path] = hashlib.sha256(raw).hexdigest()
+    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_machine(report: RunReport, path: str, finite: bool = True) -> Transducer:
     """Load a machine file; unless finite is False, refuse a NaN or infinite entry."""
-    report.inputs[path] = _digest(path)
-    t = vio.load_transducer(path)
+    t = vio.transducer_from_doc(vio.loads(_read_input(report, path)), where=path)
     if finite and not (np.isfinite(t.kernel).all() and np.isfinite(t.initial).all()):
         raise StructureError(f"{path}: {validate(t).violations[0]}")  # the first is non_finite
     return t
@@ -226,6 +229,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", default=".")
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` and ``main`` share: built once per process, since
+    parsing changes nothing in it.  ``build_parser`` still returns a new one."""
+    return build_parser()
 
 
 def _cmd_validate(args, report: RunReport) -> int:
@@ -406,8 +416,7 @@ def _cmd_reverse(args, report: RunReport) -> int:
 
 def _cmd_smooth(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
-    report.inputs[args.trace] = _digest(args.trace)
-    h = vio.load_history(args.trace)
+    h = vio.history_from_doc(vio.loads(_read_input(report, args.trace)), where=args.trace)
     post = smooth(t, h)
     rho = bdmsm_from_word(t, h)
     report.parameters.update({"trace_length": len(h)})
@@ -463,7 +472,7 @@ def _execute(args) -> tuple[int, RunReport]:
 def run(argv) -> tuple[int, RunReport]:
     """Parse and execute; returns (exit code, report).  Raises SystemExit(2)
     on unparseable arguments, matching argparse behavior."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return _execute(args)
 
 
@@ -471,7 +480,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     code, report = _execute(args)

@@ -18,7 +18,10 @@ from .errors import StructureError
 
 
 def _require(doc: dict, key: str, kind, where: str):
-    """doc[key], refused unless it is a ``kind``; true and false are not numbers."""
+    """doc[key], refused unless doc is an object and doc[key] is a ``kind``;
+    true and false are not numbers."""
+    if not isinstance(doc, dict):
+        raise StructureError(f"{where}: expected an object")
     if key not in doc:
         raise StructureError(f"{where}: missing field {key!r}")
     value = doc[key]
@@ -29,11 +32,15 @@ def _require(doc: dict, key: str, kind, where: str):
 
 def _require_numbers(doc: dict, key: str, where: str) -> list:
     """doc[key] as a list of numbers: strings, true and false are refused."""
-    value = _require(doc, key, list, where)
-    for k, x in enumerate(value):
+    return _numbers(_require(doc, key, list, where), f"field {key!r}", where)
+
+
+def _numbers(items: list, what: str, where: str) -> list:
+    """``items``, refused unless each one is a number (true and false are not)."""
+    for k, x in enumerate(items):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise StructureError(f"{where}: field {key!r} item {k} is not a number: {x!r}")
-    return value
+            raise StructureError(f"{where}: {what} item {k} is not a number: {x!r}")
+    return items
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +138,8 @@ def generalized_from_doc(doc: dict, where: str = "generalized transducer") -> Ge
     if not isinstance(doc, dict):
         raise StructureError(f"{where}: expected an object at the top level")
     dims = _require(doc, "dims", int, where)
+    if dims < 1:
+        raise StructureError(f"{where}: dims must be positive")
     act = Alphabet(_require(doc, "actions", list, where))
     out = Alphabet(_require(doc, "outputs", list, where))
     u = _require_numbers(doc, "u", where)
@@ -142,10 +151,11 @@ def generalized_from_doc(doc: dict, where: str = "generalized transducer") -> Ge
         a = act.index(_require(rec, "action", None, spot))
         y = out.index(_require(rec, "output", None, spot))
         rows = _require(rec, "rows", list, spot)
-        arr = np.asarray(rows, dtype=float)
-        if arr.shape != (dims, dims):
+        if len(rows) != dims or not all(isinstance(r, list) and len(r) == dims for r in rows):
             raise StructureError(f"{spot}: rows must be {dims}x{dims}")
-        mats[a, y] = arr
+        for i, row in enumerate(rows):
+            _numbers(row, f"rows[{i}]", spot)
+        mats[a, y] = rows
         seen.add((a, y))
     if len(seen) != len(act) * len(out):
         raise StructureError(f"{where}: needs one matrix per (action, output) pair")

@@ -1,5 +1,6 @@
 """File formats, round-trip stability, CLI exit codes, and determinism."""
 
+import hashlib
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vatworld import cli
 from vatworld import io as vio
 from vatworld.beliefs import build_msp
 from vatworld.cli import main, run
@@ -710,3 +712,180 @@ class TestCli:
         doc = json.loads(report.to_json())
         assert doc["command"] == "dimension"
         assert {"name": "canonical_dimension", "value": 2} in doc["verdicts"]
+
+
+def _generalized_doc(fix_c) -> dict:
+    return vio.generalized_to_doc(reduce_generalized(fix_c))
+
+
+class TestNonObjectsAreRefused:
+    @pytest.mark.parametrize(
+        "command, policy, trace",
+        [
+            ("sample", {"kind": "table", "entries": [5]}, None),
+            ("reverse", {"kind": "table", "entries": [5]}, None),
+            ("sample", 5, None),
+            ("smooth", None, 5),
+            ("smooth", None, [["1"], ["0"]]),
+        ],
+        ids=["sample-entry", "reverse-entry", "sample-policy", "smooth-trace", "smooth-list-trace"],
+    )
+    def test_cli_input_error(self, machine_files, tmp_path, command, policy, trace):
+        argv = [command, machine_files["parity-flip"]]
+        if policy is not None:
+            (tmp_path / "p.json").write_text(vio.dumps(policy))
+            argv += ["--policy", f"file:{tmp_path / 'p.json'}"]
+            where = str(tmp_path / "p.json") + (": entries[0]" if isinstance(policy, dict) else "")
+        else:
+            (tmp_path / "h.json").write_text(vio.dumps(trace))
+            argv += ["--trace", str(tmp_path / "h.json")]
+            where = str(tmp_path / "h.json")
+        code, report = run(argv)
+        assert code == 2
+        assert report.verdicts[-1] == {"name": "error", "value": f"{where}: expected an object"}
+
+    @pytest.mark.parametrize("bad", [5, "x", None, [1.0]])
+    def test_generalized_matrix_entry(self, fix_c, bad):
+        doc = _generalized_doc(fix_c)
+        doc["matrices"][1] = bad
+        with pytest.raises(StructureError, match=r"^g.json: matrices\[1\]: expected an object$"):
+            vio.generalized_from_doc(doc, "g.json")
+
+    @pytest.mark.parametrize("bad", [5, "x", [], None])
+    def test_history_and_policy_documents(self, bad):
+        for read in (vio.history_from_doc, vio.policy_from_doc):
+            with pytest.raises(StructureError, match=r"^f.json: expected an object$"):
+                read(bad, "f.json")
+
+
+class TestGeneralizedMatrixRows:
+    @pytest.mark.parametrize("bad", ["x", "0.5", True, None, [0.5], {}])
+    def test_row_item_is_a_number(self, fix_c, bad):
+        doc = _generalized_doc(fix_c)
+        doc["matrices"][1]["rows"][1][0] = bad
+        with pytest.raises(StructureError) as err:
+            vio.generalized_from_doc(doc, "g.json")
+        assert str(err.value) == f"g.json: matrices[1]: rows[1] item 0 is not a number: {bad!r}"
+
+    @pytest.mark.parametrize(
+        "reshape",
+        [
+            lambda rows: [rows[0] + [0.0], rows[1]],
+            lambda rows: [rows[0][:1], rows[1]],
+            lambda rows: rows[:1],
+            lambda rows: rows + [rows[0]],
+            lambda rows: [rows[0], 0.5],
+            lambda rows: [x for row in rows for x in row],
+        ],
+        ids=["long-row", "short-row", "missing-row", "extra-row", "scalar-row", "flat"],
+    )
+    def test_rows_are_dims_by_dims(self, fix_c, reshape):
+        doc = _generalized_doc(fix_c)
+        assert doc["dims"] == 2
+        doc["matrices"][0]["rows"] = reshape(doc["matrices"][0]["rows"])
+        with pytest.raises(StructureError, match=r"^g.json: matrices\[0\]: rows must be 2x2$"):
+            vio.generalized_from_doc(doc, "g.json")
+
+    @pytest.mark.parametrize("dims", [0, -1])
+    def test_dims_is_positive(self, fix_c, dims):
+        doc = _generalized_doc(fix_c)
+        doc["dims"] = dims
+        with pytest.raises(StructureError, match=r"^g.json: dims must be positive$"):
+            vio.generalized_from_doc(doc, "g.json")
+
+    def test_integer_entries_load_as_floats(self, fix_c):
+        doc = _generalized_doc(fix_c)
+        doc["matrices"][0]["rows"] = [[1, 0], [0, 1]]
+        g = vio.generalized_from_doc(doc, "g.json")
+        np.testing.assert_array_equal(g.matrices[0, 0], np.eye(2))
+
+
+class TestOneParserPerProcess:
+    """run and main share one parser; nothing carries over from call to call."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_an_out_path_does_not_carry_over(self, machine_files, tmp_path):
+        out = tmp_path / "msp.json"
+        code, report = run(["msp", machine_files["parity-flip-redundant"], "--out", str(out)])
+        assert code == 0 and report.artifacts == [str(out)]
+        out.unlink()
+        code, report = run(["msp", machine_files["parity-flip-redundant"]])
+        assert code == 0 and report.artifacts == []
+        assert not out.exists()
+
+    def test_format_does_not_carry_over(self, machine_files, capsys):
+        argv = ["dimension", machine_files["parity-flip"]]
+        assert main(["--format", "machine"] + argv) == 0
+        assert json.loads(capsys.readouterr().out)["command"] == "dimension"
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("command: dimension\n")
+
+    def test_a_usage_error_after_a_success_exits_two(self, machine_files):
+        argv = ["info", machine_files["parity-flip"]]
+        assert main(argv) == 0
+        assert main(["info"]) == 2
+        assert main(argv + ["--tol", "nan"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(["bogus"])
+        assert exc.value.code == 2
+        assert main(argv) == 0
+
+    def test_changing_a_built_parser_leaves_main_alone(self, machine_files, capsys):
+        mine = cli.build_parser()
+        mine.add_argument("--extra", default="x")
+        mine.set_defaults(format="machine")
+        argv = ["dimension", machine_files["parity-flip"]]
+        assert mine.parse_args(argv).format == "machine"
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("command: dimension\n")
+        assert main(["--extra", "y"] + argv) == 2
+
+
+def _crlf_copy(path, tmp_path, name: str):
+    """A copy of ``path`` with CRLF line endings."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    assert b"\r" not in raw
+    out = tmp_path / name
+    out.write_bytes(raw.replace(b"\n", b"\r\n"))
+    return out
+
+
+class TestOneReadPerInput:
+    def test_digests_are_of_the_raw_bytes(self, machine_files, tmp_path):
+        trace = tmp_path / "trace.json"
+        trace.write_text(vio.dumps({"actions": ["1", "1"], "outputs": ["0", "1"]}))
+        lf = run(["smooth", machine_files["parity-flip"], "--trace", str(trace)])[1]
+        machine = _crlf_copy(machine_files["parity-flip"], tmp_path, "m-crlf.json")
+        trace_crlf = _crlf_copy(trace, tmp_path, "t-crlf.json")
+        code, report = run(["smooth", str(machine), "--trace", str(trace_crlf)])
+        assert code == 0
+        assert report.inputs == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (machine, trace_crlf)
+        }
+        assert report.verdicts == lf.verdicts
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            lambda text: text.replace('"states"', ',"states"', 1),
+            lambda text: text.replace('"kernel"', '"ker\nnel"', 1),
+            lambda text: text[:-10],
+        ],
+        ids=["comma", "newline-in-string", "truncated"],
+    )
+    def test_a_malformed_crlf_file_reads_as_text_mode(self, machine_files, tmp_path, fault):
+        with open(machine_files["parity-flip"], encoding="utf-8") as fh:
+            bad = fault(fh.read())
+        lf = tmp_path / "bad.json"
+        lf.write_bytes(bad.encode("utf-8"))
+        crlf = _crlf_copy(lf, tmp_path, "bad-crlf.json")
+        with pytest.raises(StructureError) as err:
+            vio.load_transducer(crlf)
+        for path in (lf, crlf):
+            code, report = run(["info", str(path)])
+            assert code == 2
+            assert report.verdicts[-1]["value"] == str(err.value)
