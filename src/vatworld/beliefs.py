@@ -140,18 +140,16 @@ class BeliefTransducer:
         return self.machine.n
 
 
-def _intertwining_residual(big: np.ndarray, link: np.ndarray, small: np.ndarray) -> float:
-    """The largest column L1 norm of big_x @ link - link @ small_x over letters x."""
-    gap = big @ link - link @ small  # [a, y, rows, cols]
-    return float(np.abs(gap).sum(axis=-2).max(initial=0.0))
-
-
-def _link_allowance(big: np.ndarray, link: np.ndarray, tol: float) -> float:
-    """How far a belief closure at tol may leave its link; see ``build_msp``."""
+def _belief_link(
+    big: np.ndarray, link: np.ndarray, small: np.ndarray, tol: float
+) -> tuple[float, float]:
+    """The largest column L1 norm of big_x @ link - link @ small_x over letters x,
+    and how far a belief closure at tol may leave that link; see ``build_msp``."""
     pushed = big @ link  # T_x b for each letter x and belief b
+    residual = float(np.abs(pushed - link @ small).sum(axis=-2).max(initial=0.0))
     mass = np.abs(pushed).sum(axis=-2)  # its sum plus twice its negative mass
     negative = float((mass - pushed.sum(axis=-2)).max(initial=0.0))
-    return tol * max(1.0, float(mass.max(initial=0.0))) + negative
+    return residual, tol * max(1.0, float(mass.max(initial=0.0))) + negative
 
 
 def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -> BeliefTransducer:
@@ -169,7 +167,8 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     with L the beliefs as columns.  A merged update T_x b lies within
     tol * |T_x b|_1 of its belief times emit, and a pruned one (emit <= tol)
     leaves |T_x b|_1, emit plus twice its negative mass: tol on a stochastic
-    source.  Past that ``_link_allowance`` by over 8 (n + k) machine
+    source.  ``_belief_link`` computes the residual and that allowance from
+    one product T_x L; past the allowance by over 8 (n + k) machine
     epsilons, a RuntimeError reports a construction bug.
     """
     if max_states < 1:
@@ -229,9 +228,9 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     for src, a, y, dst, emit in edges:
         kernel[a, y, dst, src] += emit
     link = np.stack(beliefs, axis=1)
-    residual = _intertwining_residual(t.kernel, link, kernel)
+    residual, allowance = _belief_link(t.kernel, link, kernel, tol)
     rounding = 8 * (t.n + k) * float(np.finfo(float).eps)
-    if not residual <= _link_allowance(t.kernel, link, tol) + rounding:
+    if not residual <= allowance + rounding:
         raise RuntimeError(f"belief machine is off its beliefs by {residual:.3g}; construction bug")
     initial = np.zeros(k)
     initial[0] = 1.0

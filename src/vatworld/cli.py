@@ -13,6 +13,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -131,20 +132,11 @@ def _symbols(raw: str) -> tuple[str, ...]:
 
 def _pretty_edges(t: Transducer) -> list[str]:
     """Edge list with y|a:p labels: probability of (output, next) given action."""
-    lines = []
-    for j in range(t.n):
-        for i in range(t.n):
-            labels = []
-            for a in range(len(t.actions)):
-                for y in range(len(t.outputs)):
-                    p = t.kernel[a, y, i, j]
-                    if p != 0.0:
-                        labels.append(
-                            f"{t.outputs.symbols[y]}|{t.actions.symbols[a]}:{p:g}"
-                        )
-            if labels:
-                lines.append(f"{t.states[j]} -> {t.states[i]}  [{' '.join(labels)}]")
-    return lines
+    edges: dict = {}  # (from, to) -> labels, in the order of the records
+    for r in vio.kernel_records(t, t.kernel, walk=(3, 2, 0, 1)):
+        label = f"{r['output']}|{r['action']}:{r['prob']:g}"
+        edges.setdefault((r["from"], r["to"]), []).append(label)
+    return [f"{src} -> {dst}  [{' '.join(labels)}]" for (src, dst), labels in edges.items()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,8 +418,6 @@ def _cmd_smooth(args, report: RunReport) -> int:
 
 
 def _cmd_fixtures(args, report: RunReport) -> int:
-    import os
-
     os.makedirs(args.dir, exist_ok=True)
     machines = [build() for build in ALL_FIXTURES.values()]
     machines.append(make_card_deck(2, 2, "flip_shuffle"))

@@ -16,6 +16,8 @@ import numpy as np
 from .core import Alphabet, GeneralizedTransducer, History, Policy, Transducer
 from .errors import StructureError
 
+_FLOAT_MAX = float(np.finfo(float).max)  # JSON integers can lie past it
+
 
 def _require(doc: dict, key: str, kind, where: str):
     """doc[key], refused unless doc is an object and doc[key] is a ``kind``;
@@ -36,10 +38,12 @@ def _require_numbers(doc: dict, key: str, where: str) -> list:
 
 
 def _numbers(items: list, what: str, where: str) -> list:
-    """``items``, refused unless each one is a number (true and false are not)."""
+    """``items``, refused unless each is a number a float holds (true and false are not)."""
     for k, x in enumerate(items):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise StructureError(f"{where}: {what} item {k} is not a number: {x!r}")
+        if isinstance(x, int) and not -_FLOAT_MAX <= x <= _FLOAT_MAX:
+            raise StructureError(f"{where}: {what} item {k} is past the float range")
     return items
 
 
@@ -91,6 +95,7 @@ def transducer_from_doc(doc: dict, where: str = "transducer") -> Transducer:
     out = Alphabet(outputs)
     n = len(states)
     kernel = np.zeros((len(act), len(out), n, n))
+    seen: dict = {}  # kernel cell -> the record listing it first
     for k, rec in enumerate(records):
         spot = f"{where}: kernel[{k}]"
         if not isinstance(rec, dict):
@@ -104,7 +109,12 @@ def transducer_from_doc(doc: dict, where: str = "transducer") -> Transducer:
         a = act.index(_require(rec, "action", None, spot))
         y = out.index(_require(rec, "output", None, spot))
         prob = _require(rec, "prob", (int, float), spot)
-        kernel[a, y, state_idx[dst], state_idx[src]] = float(prob)
+        if isinstance(prob, int) and not -_FLOAT_MAX <= prob <= _FLOAT_MAX:
+            raise StructureError(f"{spot}: field 'prob' is past the float range")
+        cell = (a, y, state_idx[dst], state_idx[src])
+        if seen.setdefault(cell, k) != k:
+            raise StructureError(f"{spot}: same (from, action, output, to) as kernel[{seen[cell]}]")
+        kernel[cell] = prob
     return Transducer(name, states, act, out, kernel, initial)
 
 
@@ -288,7 +298,7 @@ def _key(enc: json.JSONEncoder, key) -> str:
 def loads(text: str) -> dict:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of too many digits
         raise StructureError(f"malformed document: {exc}") from exc
 
 

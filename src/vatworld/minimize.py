@@ -180,10 +180,19 @@ def coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
         part = refined
 
 
-def _check_bisimulation(t: Transducer, part: Partition, tol: float) -> None:
-    """Raise PartitionError with a witness pair if the partition is not a bisimulation."""
+def _quotient(t: Transducer, part: Partition, tol: float) -> tuple[Transducer, float]:
+    """The quotient by ``part`` and the largest column L1 norm of K_x P - P B_x
+    over letters x, its link residual delta_q, both from one block P B_x.
+
+    Raises PartitionError naming the first member, in class order, whose
+    emission or block signature is over tol (max norm) off its leader's.
+    """
+    if len(part.class_of) != t.n:
+        raise StructureError("partition size does not match the machine")
+    member = _membership(part)
+    block = member @ t.kernel  # [a, y, c, j]: mass from state j into class c
     em_sig = _emission_signature(t)
-    blk_sig = _block_signature(t, part)
+    blk_sig = block.reshape(-1, t.n).T  # [j, (a, y, c)]
     for members in part.classes:
         lead = members[0]
         for s in members[1:]:
@@ -207,6 +216,14 @@ def _check_bisimulation(t: Transducer, part: Partition, tol: float) -> None:
                     f"under action {t.actions.symbols[a]}",
                     witness=(t.states[lead], t.states[s], t.actions.symbols[a], part.classes[c]),
                 )
+    weights = member / member.sum(axis=1, keepdims=True)
+    # kernel[a, y, C, D]: sum rows over C, average columns over D's members
+    kernel = block @ weights.T
+    gap = kernel[..., list(part.class_of)] - block  # K_x P is K's class column per member
+    delta_q = float(np.abs(gap).sum(axis=-2).max(initial=0.0))
+    labels = ["+".join(t.states[s] for s in members) for members in part.classes]
+    q = Transducer(f"{t.name}/quotient", labels, t.actions, t.outputs, kernel, member @ t.initial)
+    return q, delta_q
 
 
 def quotient(t: Transducer, part: Partition, tol: float = DEFAULT_TOL) -> Transducer:
@@ -214,25 +231,9 @@ def quotient(t: Transducer, part: Partition, tol: float = DEFAULT_TOL) -> Transd
 
     The partition must be a bisimulation (checked; a violating witness pair is
     reported otherwise).  Kernel entries average the class-summed columns over
-    the class members, which agree within tol by the check above.
+    the class members, which agree within tol by the check.
     """
-    if len(part.class_of) != t.n:
-        raise StructureError("partition size does not match the machine")
-    _check_bisimulation(t, part, tol)
-    member = _membership(part)
-    weights = member / member.sum(axis=1, keepdims=True)
-    # new_kernel[a, y, C, D]: sum rows over C, average columns over D's members
-    new_kernel = member @ t.kernel @ weights.T
-    new_initial = member @ t.initial
-    labels = ["+".join(t.states[s] for s in members) for members in part.classes]
-    return Transducer(
-        f"{t.name}/quotient",
-        labels,
-        t.actions,
-        t.outputs,
-        new_kernel,
-        new_initial,
-    )
+    return _quotient(t, part, tol)[0]
 
 
 def minimize_bisim(t: Transducer, tol: float = DEFAULT_TOL) -> Transducer:

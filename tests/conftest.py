@@ -518,6 +518,16 @@ def einsum_block_signature(t: Transducer, part: Partition) -> np.ndarray:
     return block.reshape(-1, n).T  # [j, (a, y, c)]
 
 
+def dense_quotient_link(q: Transducer, t: Transducer, part: Partition) -> float:
+    """The largest column L1 norm of K_x P - P T_x over letters x, with K the
+    quotient's kernel and P the dense 0/1 class membership."""
+    member = np.zeros((part.n_classes, t.n))
+    for ci, members in enumerate(part.classes):
+        member[ci, list(members)] = 1.0
+    gap = q.kernel @ member - member @ t.kernel
+    return float(np.abs(gap).sum(axis=-2).max(initial=0.0))
+
+
 def scan_coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
     """Per-class greedy refinement with the scan grouping and einsum signatures."""
     em = _emission_signature(t)

@@ -167,6 +167,56 @@ class TestNonNumbersAreRefused:
             vio.transducer_from_doc(doc, "m.json")
 
 
+_HUGE = 10**400  # a JSON integer no float holds
+
+
+class TestHugeIntegersAreRefused:
+    @pytest.mark.parametrize("bad", [_HUGE, -_HUGE])
+    @pytest.mark.parametrize("field", ["initial", "u", "v", "weights", "dist"])
+    def test_list_item(self, fix_a, fix_c, field, bad):
+        read, doc, where = _numbers_field(field, bad, fix_a, fix_c)
+        with pytest.raises(StructureError) as err:
+            read(doc, where)
+        assert str(err.value).startswith(where)
+        assert str(err.value).endswith(f"field {field!r} item 0 is past the float range")
+
+    def test_kernel_prob(self, fix_a):
+        doc = vio.transducer_to_doc(fix_a)
+        doc["kernel"][1]["prob"] = _HUGE
+        wrong = r"^m.json: kernel\[1\]: field 'prob' is past the float range$"
+        with pytest.raises(StructureError, match=wrong):
+            vio.transducer_from_doc(doc, "m.json")
+
+    def test_matrix_row_item(self, fix_c):
+        doc = vio.generalized_to_doc(reduce_generalized(fix_c))
+        doc["matrices"][1]["rows"][0][1] = -_HUGE
+        wrong = r"^g.json: matrices\[1\]: rows\[0\] item 1 is past the float range$"
+        with pytest.raises(StructureError, match=wrong):
+            vio.generalized_from_doc(doc, "g.json")
+
+    def test_the_largest_float_as_an_integer_still_loads(self, fix_a):
+        doc = vio.transducer_to_doc(fix_a)
+        doc["initial"][1] = int(np.finfo(float).max)
+        assert vio.transducer_from_doc(doc, "m.json").initial[1] == np.finfo(float).max
+
+
+class TestDuplicateKernelRecords:
+    def test_a_split_record_is_refused(self, fix_a):
+        doc = vio.transducer_to_doc(fix_a)
+        first = doc["kernel"][0]
+        doc["kernel"][0:1] = [dict(first, prob=0.25), dict(first, prob=0.75)]
+        wrong = r"^m.json: kernel\[1\]: same \(from, action, output, to\) as kernel\[0\]$"
+        with pytest.raises(StructureError, match=wrong):
+            vio.transducer_from_doc(doc, "m.json")
+
+    def test_a_repeat_later_in_the_list_names_the_first(self, fix_a):
+        doc = vio.transducer_to_doc(fix_a)
+        doc["kernel"].append(dict(doc["kernel"][2]))
+        wrong = rf"^m.json: kernel\[{len(doc['kernel']) - 1}\]: .* as kernel\[2\]$"
+        with pytest.raises(StructureError, match=wrong):
+            vio.transducer_from_doc(doc, "m.json")
+
+
 _JSON_SCALARS = (
     st.none()
     | st.booleans()
@@ -466,6 +516,65 @@ class TestCli:
         code, report = run([command, str(path)] + extra)
         assert code == 2
         assert report.verdicts[-1]["value"].endswith("item 0 is not a number: 'x'")
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("info", "initial"),
+            ("info", "prob"),
+            ("sample", "weights"),
+            ("sample", "dist"),
+            ("reverse", "dist"),
+        ],
+    )
+    def test_huge_integer_in_a_file_exit_two(self, machine_files, tmp_path, command, field):
+        path, extra = machine_files["parity-flip"], []
+        if field in ("initial", "prob"):
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if field == "initial":
+                doc["initial"][0] = _HUGE
+            else:
+                doc["kernel"][0]["prob"] = _HUGE
+            path = tmp_path / "big.json"
+            path.write_text(vio.dumps(doc))
+        else:
+            entry = {"actions": [], "outputs": [], "dist": [_HUGE, 1]}
+            policy = {"kind": "weighted", "weights": [_HUGE, 1]}
+            if field == "dist":
+                policy = {"kind": "table", "entries": [entry]}
+            (tmp_path / "policy.json").write_text(vio.dumps(policy))
+            extra = ["--policy", f"file:{tmp_path / 'policy.json'}"]
+        code, report = run([command, str(path)] + extra)
+        assert code == 2
+        assert report.verdicts[-1]["value"].endswith("is past the float range")
+
+    def test_integer_of_too_many_digits_exit_two(self, machine_files, tmp_path):
+        with open(machine_files["parity-flip"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["initial"][0] = "DIGITS"
+        path = tmp_path / "digits.json"
+        path.write_text(vio.dumps(doc).replace('"DIGITS"', "1" + "0" * 5000))
+        code, report = run(["info", str(path)])
+        assert code == 2
+        message = report.verdicts[-1]["value"]  # where int() caps its digits, or else
+        assert message.startswith("malformed document") or message.endswith("float range")
+
+    def test_duplicate_kernel_record_exit_two(self, machine_files, tmp_path):
+        with open(machine_files["parity-flip"], encoding="utf-8") as fh:
+            doc = json.load(fh)
+        first = doc["kernel"][0]  # s0 -0/0-> s0 with prob 1, split in two
+        doc["kernel"][0:1] = [dict(first, prob=0.25), dict(first, prob=0.75)]
+        path = tmp_path / "dup.json"
+        path.write_text(vio.dumps(doc))
+        code, report = run(["validate", str(path)])
+        assert code == 2
+        assert report.verdicts == [
+            {
+                "name": "error",
+                "value": f"{path}: kernel[1]: same (from, action, output, to) as kernel[0]",
+            }
+        ]
 
     def test_info_reports_classes(self, machine_files):
         code, report = run(["info", machine_files["parity-flip"], "--pretty"])

@@ -12,6 +12,7 @@ from vatworld.errors import PartitionError
 from vatworld.minimize import (
     Partition,
     _block_signature,
+    _quotient,
     _TolIndex,
     coarsest_bisimulation,
     minimize_bisim,
@@ -22,6 +23,7 @@ from vatworld.oracle import equivalent
 from conftest import (
     PROPERTY_KINDS,
     PROPERTY_TOLS,
+    dense_quotient_link,
     einsum_block_signature,
     property_machine,
     random_transducer,
@@ -234,11 +236,59 @@ class TestQuotient:
         assert err.value.witness[0] == "s0"
         assert err.value.witness[1] == "s1a"
 
+    def test_block_branch_names_the_class(self):
+        deck = make_card_deck(2, 2, "flip_shuffle")  # BBRR and BRBR both show black
+        bad = Partition.from_classes([[0, 1], [2], [3], [4], [5]], deck.n)
+        with pytest.raises(PartitionError, match=r"route different \(output black\) mass") as err:
+            quotient(deck, bad)
+        # rotating BBRR gives BRRB (state 2), rotating BRBR gives RBRB (state 4)
+        assert err.value.witness == ("BBRR", "BRBR", "rotate", (2,))
+
+    def test_the_first_class_in_order_is_named(self):
+        deck = make_card_deck(2, 2, "flip_shuffle")
+        with pytest.raises(PartitionError) as err:  # the red-top class violates alone
+            quotient(deck, Partition.from_classes([[0], [1], [2], [3, 4, 5]], deck.n))
+        # rotating RBBR gives BBRR (state 0), rotating RBRB gives BRBR (state 1)
+        assert err.value.witness == ("RBBR", "RBRB", "rotate", (0,))
+        by_top = Partition.from_classes([[3, 4, 5], [0, 1, 2]], deck.n)  # both classes violate
+        with pytest.raises(PartitionError) as err:
+            quotient(deck, by_top)
+        assert err.value.witness == ("BBRR", "BRBR", "rotate", (0, 1, 2))
+
     def test_initial_mass_is_class_summed(self, fix_b):
         part = coarsest_bisimulation(fix_b)
         small = quotient(fix_b, part)
         assert small.initial.sum() == pytest.approx(1.0)
         np.testing.assert_allclose(small.initial, [1.0, 0.0])
+
+
+class TestQuotientLink:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(PROPERTY_KINDS),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_refined_partitions_pass_with_the_dense_link(self, seed, kind, tol):
+        t = property_machine(kind, seed)
+        machines = [t]
+        if kind in ("deck", "unifilar"):
+            machines.append(build_msp(t).machine)
+        for m in machines:
+            part = coarsest_bisimulation(m, tol)
+            q, delta_q = _quotient(m, part, tol)
+            np.testing.assert_array_equal(quotient(m, part, tol).kernel, q.kernel)
+            assert delta_q == dense_quotient_link(q, m, part)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(PROPERTY_KINDS))
+    def test_any_partition_at_tol_two_has_the_dense_link(self, seed, kind):
+        # signatures of a stochastic machine lie in [0, 1] up to rounding, so tol 2
+        # passes every partition, and its link columns differ in many entries
+        t = property_machine(kind, seed)
+        part = Partition.from_assignment(np.random.default_rng(seed).integers(0, 3, t.n).tolist())
+        q, delta_q = _quotient(t, part, 2.0)
+        assert delta_q == dense_quotient_link(q, t, part)
 
 
 class TestMinimizeBisim:
