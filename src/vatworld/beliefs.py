@@ -156,13 +156,17 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     """Close the reachable beliefs of ``t`` under one-step updates.
 
     Starts from the machine's initial distribution and explores breadth-first;
-    a candidate belief is identified with a known one when their L1 distance
-    is within tol, and branches whose emission probability is at most tol are
-    pruned.  Raises MspClosureError (with closure diagnostics) rather than
-    truncating silently past ``max_states`` beliefs, which also bounds the
-    depth.  An invalid source, at the belief machine's tolerance
-    max(DEFAULT_TOL, |Y| * tol), or ``max_states`` below 1 raises
-    StructureError.  The result is unifilar by construction and checked once,
+    a candidate belief is identified with the first known one within tol in
+    L1 distance, and branches whose emission probability is at most tol are
+    pruned.  Each level's updates come from one stacked product (bit for bit
+    the single products T_x b), and are looked up in (belief, action,
+    output) order, an update that repeats an earlier one bit for bit taking
+    its answer (``_TolIndex.first``), so the beliefs, their numbering and
+    the edges are those of a belief-by-belief walk.  Raises MspClosureError
+    (with closure diagnostics) rather than truncating silently past
+    ``max_states`` beliefs, which also bounds the depth.  An invalid source,
+    at the belief machine's tolerance max(DEFAULT_TOL, |Y| * tol), or
+    ``max_states`` below 1 raises StructureError.  The result is unifilar by construction and checked once,
     by its link to the source, the largest column L1 norm of T_x L - L B_x
     with L the beliefs as columns.  A merged update T_x b lies within
     tol * |T_x b|_1 of its belief times emit, and a pruned one (emit <= tol)
@@ -181,9 +185,8 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     start = t.initial / t.initial.sum()
     beliefs: list[np.ndarray] = [start]
     index = _TolIndex(t.n, tol)
-    index.add(0, index.project(start[None])[0])
+    index.add(0, index.project(start[None])[0], repeat=index.repeats(start[None])[0])
     depth_of = [0]
-    edges: list[tuple[int, int, int, int, float]] = []
 
     def _closure_error(msg: str) -> MspClosureError:
         known = np.array(beliefs)
@@ -200,33 +203,38 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
             nearest_pair_distance=nearest,
         )
 
-    for bi, b in enumerate(beliefs):  # breadth-first: beliefs grows as it is walked
-        for a in range(n_actions):
-            for y in range(n_outputs):
-                raw = t.kernel[a, y] @ b
-                emit = float(raw.sum())
-                if emit <= tol:
-                    continue
-                new = raw / emit
-                key = index.project(new[None])[0]
-                target = None
-                for k in index.candidates(key):
-                    if float(np.abs(beliefs[k] - new).sum()) <= tol:
-                        target = k
-                        break
-                if target is None:
-                    if len(beliefs) >= max_states:
-                        raise _closure_error(f"more than {max_states} beliefs reached")
-                    target = len(beliefs)
-                    beliefs.append(new)
-                    index.add(target, key)
-                    depth_of.append(depth_of[bi] + 1)
-                edges.append((bi, a, y, target, emit))
+    # One breadth-first level per pass: the level's updates come from one
+    # stacked product, and the lookups run in (belief, action, output) order.
+    flat = t.kernel.reshape(n_actions * n_outputs, t.n, t.n)
+    lo, letters, targets, sources, emits = 0, [], [], [], []
+    while lo < len(beliefs):
+        hi = len(beliefs)
+        raw = np.matmul(flat, np.array(beliefs[lo:hi])[:, None, :, None])[..., 0]
+        emit = raw.sum(axis=-1)  # [belief, letter]
+        src, letter = np.nonzero(~(emit <= tol))  # a nan tol prunes nothing
+        emit = emit[src, letter]
+        news = raw[src, letter] / emit[:, None]
+        src = (src + lo).tolist()
+        for bi, new, key, repeat in zip(src, news, index.project(news), index.repeats(news)):
+            target = index.first(key, lambda k: float(np.abs(beliefs[k] - new).sum()) <= tol, repeat)
+            if target is None:
+                if len(beliefs) >= max_states:
+                    raise _closure_error(f"more than {max_states} beliefs reached")
+                target = len(beliefs)
+                beliefs.append(new)
+                index.add(target, key, repeat=repeat)
+                depth_of.append(depth_of[bi] + 1)
+            targets.append(target)
+        letters.append(letter)
+        sources += src
+        emits.append(emit)
+        lo = hi
 
     k = len(beliefs)
-    kernel = np.zeros((n_actions, n_outputs, k, k))
-    for src, a, y, dst, emit in edges:
-        kernel[a, y, dst, src] += emit
+    kernel = np.zeros((n_actions * n_outputs, k, k))
+    # one edge per kept (belief, letter), so no cell is written twice
+    kernel[np.concatenate(letters), targets, sources] = np.concatenate(emits)
+    kernel = kernel.reshape(n_actions, n_outputs, k, k)
     link = np.stack(beliefs, axis=1)
     residual, allowance = _belief_link(t.kernel, link, kernel, tol)
     rounding = 8 * (t.n + k) * float(np.finfo(float).eps)

@@ -340,7 +340,7 @@ def _cmd_msp(args, report: RunReport) -> int:
     if args.out:
         doc = vio.transducer_to_doc(msp.machine)
         doc["state_payloads"] = {
-            msp.machine.states[k]: [float(x) for x in msp.state_payload[k].weights]
+            msp.machine.states[k]: msp.state_payload[k].weights.tolist()
             for k in range(msp.n)
         }
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -62,7 +62,7 @@ class Alphabet:
     def indices(self, labels: Iterable) -> list[int]:
         labels = list(labels)
         try:
-            return [self._lookup[s] for s in labels]
+            return list(map(self._lookup.__getitem__, labels))
         except (KeyError, TypeError):  # a label that is not a known str
             return [self.index(s) for s in labels]
 

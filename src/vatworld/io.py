@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 
 import numpy as np
 
@@ -95,7 +96,53 @@ def transducer_from_doc(doc: dict, where: str = "transducer") -> Transducer:
     out = Alphabet(outputs)
     n = len(states)
     kernel = np.zeros((len(act), len(out), n, n))
-    seen: dict = {}  # kernel cell -> the record listing it first
+    columns = _kernel_columns(records, state_idx, act, out, n)
+    cells, probs = columns or _kernel_by_record(records, state_idx, act, out, where)
+    kernel[cells] = probs
+    return Transducer(name, states, act, out, kernel, initial)
+
+
+_FIELDS = [operator.itemgetter(key) for key in ("from", "action", "output", "to", "prob")]
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _kernel_columns(records: list, state_idx: dict, act: Alphabet, out: Alphabet, n: int):
+    """The records' kernel cells, as index arrays (action, output, to, from),
+    and their probabilities, read field by field; None when a record is not
+    an object with known labels and a number that a float holds, or when two
+    records name one cell.  Labels match through ``str()``, as the
+    alphabets' do."""
+    if not {dict}.issuperset(map(type, records)):
+        return None
+    try:
+        src, action, output, dst, prob = (list(map(field, records)) for field in _FIELDS)
+    except KeyError:
+        return None
+    i = list(map(state_idx.get, map(str, dst)))
+    j = list(map(state_idx.get, map(str, src)))
+    if None in i or None in j:
+        return None
+    try:
+        a, y = act.indices(action), out.indices(output)
+    except StructureError:
+        return None
+    kinds = set(map(type, prob))
+    if not _NUMBER_TYPES.issuperset(kinds):
+        return None
+    if int in kinds and not all(-_FLOAT_MAX <= p <= _FLOAT_MAX for p in prob if type(p) is int):
+        return None
+    cells = tuple(np.array(col, dtype=np.intp) for col in (a, y, i, j))
+    flat = np.sort(np.ravel_multi_index(cells, (len(act), len(out), n, n)))
+    if np.any(flat[1:] == flat[:-1]):
+        return None
+    return cells, np.array(prob, dtype=float)
+
+
+def _kernel_by_record(records: list, state_idx: dict, act: Alphabet, out: Alphabet, where: str):
+    """``_kernel_columns`` one record at a time: a StructureError names the
+    first record that is refused, or that repeats an earlier record's cell."""
+    first: dict = {}  # kernel cell -> the record listing it
+    probs = []
     for k, rec in enumerate(records):
         spot = f"{where}: kernel[{k}]"
         if not isinstance(rec, dict):
@@ -112,10 +159,10 @@ def transducer_from_doc(doc: dict, where: str = "transducer") -> Transducer:
         if isinstance(prob, int) and not -_FLOAT_MAX <= prob <= _FLOAT_MAX:
             raise StructureError(f"{spot}: field 'prob' is past the float range")
         cell = (a, y, state_idx[dst], state_idx[src])
-        if seen.setdefault(cell, k) != k:
-            raise StructureError(f"{spot}: same (from, action, output, to) as kernel[{seen[cell]}]")
-        kernel[cell] = prob
-    return Transducer(name, states, act, out, kernel, initial)
+        if first.setdefault(cell, k) != k:
+            raise StructureError(f"{spot}: same (from, action, output, to) as kernel[{first[cell]}]")
+        probs.append(prob)
+    return tuple(np.array(list(first), dtype=np.intp).reshape(-1, 4).T), np.array(probs, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +202,7 @@ def generalized_from_doc(doc: dict, where: str = "generalized transducer") -> Ge
     u = _require_numbers(doc, "u", where)
     v = _require_numbers(doc, "v", where)
     mats = np.zeros((len(act), len(out), dims, dims))
-    seen = set()
+    seen: dict = {}  # (action, output) -> the matrix listing it
     for k, rec in enumerate(_require(doc, "matrices", list, where)):
         spot = f"{where}: matrices[{k}]"
         a = act.index(_require(rec, "action", None, spot))
@@ -165,8 +212,9 @@ def generalized_from_doc(doc: dict, where: str = "generalized transducer") -> Ge
             raise StructureError(f"{spot}: rows must be {dims}x{dims}")
         for i, row in enumerate(rows):
             _numbers(row, f"rows[{i}]", spot)
+        if seen.setdefault((a, y), k) != k:
+            raise StructureError(f"{spot}: same (action, output) as matrices[{seen[a, y]}]")
         mats[a, y] = rows
-        seen.add((a, y))
     if len(seen) != len(act) * len(out):
         raise StructureError(f"{where}: needs one matrix per (action, output) pair")
     return GeneralizedTransducer(dims, act, out, mats, u, v)
@@ -220,8 +268,8 @@ def dumps(doc: dict) -> str:
     plus a newline.  ``json`` takes its C encoder only without an indent, so
     each list or dict holding scalars alone goes through that encoder in one
     call, with the newline and indent of its items as the item separator,
-    and so does each list of such non-empty lists (a matrix).  Only the
-    containers above those are walked here.
+    and so does each list of such non-empty lists (a matrix) or dicts
+    (kernel records).  Only the containers above those are walked here.
     """
     return _encode(doc, 0) + "\n"
 
@@ -253,8 +301,11 @@ def _encode(value, level: int) -> str:
         enc = _flat_encoder(level + 1)
         body = [_key(enc, k) + ": " + _encode(v, level + 1) for k, v in value.items()]
         return "{" + inner + ("," + inner).join(body) + close + "}"
-    if _LISTS.issuperset(map(type, value)) and all(_is_scalar_row(row) for row in value):
-        return "[" + inner + _encode_rows(value, level + 1) + close + "]"
+    kinds = set(map(type, value))
+    if _LISTS.issuperset(kinds) and all(map(_is_scalar_row, value)):
+        return "[" + inner + _encode_rows(value, level + 1, "[]") + close + "]"
+    if kinds == {dict} and all(map(_is_scalar_record, value)):
+        return "[" + inner + _encode_rows(value, level + 1, "{}") + close + "]"
     return "[" + inner + ("," + inner).join([_encode(v, level + 1) for v in value]) + close + "]"
 
 
@@ -262,26 +313,33 @@ def _is_scalar_row(row) -> bool:
     return bool(row) and _SCALARS.issuperset(map(type, row))
 
 
+def _is_scalar_record(rec: dict) -> bool:
+    return bool(rec) and _SCALARS.issuperset(map(type, rec.values()))
+
+
 # Rows per encoder call: one call holds every encoded scalar of its rows at
 # once, so a long matrix goes through in blocks.
 _ROWS_PER_CALL = 64
 
 
-def _encode_rows(rows, level: int) -> str:
-    """Non-empty scalar lists at indent ``level``, joined by commas.
+def _encode_rows(rows, level: int, brackets: str) -> str:
+    """Non-empty scalar lists (``brackets`` "[]") or non-empty dicts of
+    scalars ("{}") at indent ``level``, joined by commas.
 
     The encoder separates every item, rows included, by the indent of the
-    row items.  Encoded scalars neither end in "]" nor start with "[", and
-    no newline appears inside an encoded string, so "]," + that separator +
-    "[" marks exactly the row boundaries, which get the row indent instead.
+    row items.  Encoded scalars neither end in "]" or "}" nor start with "["
+    or "{", keys are written as strings, and no newline appears inside an
+    encoded string, so "]," + that separator + "[" (or the same with braces)
+    marks exactly the row boundaries, which get the row indent instead.
     """
+    start, end = brackets
     cell = "\n" + "  " * (level + 1)
     row = "\n" + "  " * level
     enc = _flat_encoder(level + 1)
-    bound = "]," + cell + "["
+    bound = end + "," + cell + start
     blocks = range(0, len(rows), _ROWS_PER_CALL)
     text = bound.join([enc.encode(rows[k : k + _ROWS_PER_CALL])[2:-2] for k in blocks])
-    return "[" + cell + text.replace(bound, row + "]," + row + "[" + cell) + row + "]"
+    return start + cell + text.replace(bound, row + end + "," + row + start + cell) + row + end
 
 
 def _key(enc: json.JSONEncoder, key) -> str:

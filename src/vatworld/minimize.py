@@ -78,6 +78,14 @@ class _TolIndex:
     passing the caller's own distance test is the scan's answer.  Where the
     probe is not finite (a non-finite entry, an infinite tol) or would cover
     more cells than the group has rows, it returns every row of the group.
+
+    ``first`` answers a query with that first candidate, and keeps the
+    answer for the query's bytes (``repeats``): a later query of the same
+    bytes in the same group takes it without a lookup.  That is the scan's
+    answer too, because ids only ascend, so no row stored since lies before
+    it, and a finite row lies within every tol >= 0 of itself, so a query
+    that was stored answers its repeats.  Under a nan or negative tol and for
+    a row with a nan or infinite entry no answer is kept.
     """
 
     def __init__(self, dim: int, tol: float):
@@ -89,6 +97,7 @@ class _TolIndex:
         self._slack = 0.0  # the largest rounding bound of a stored row
         self._cells: dict = {}  # (group, cell) -> ids, ascending
         self._groups: dict = {}  # group -> ids, ascending
+        self._answers: dict = {}  # (group, row bytes) -> the first query's answer
 
     def project(self, rows: np.ndarray) -> list[tuple[float, float]]:
         """(w.u, rounding bound) per row of a 2-D array; never raises on inf or nan."""
@@ -97,8 +106,31 @@ class _TolIndex:
             s = self._rel * (np.abs(rows) @ self._w + self._tol) + _TINY
         return list(zip(p.tolist(), s.tolist()))
 
-    def add(self, ident: int, key: tuple[float, float], group=None) -> None:
-        """Store row ``ident`` (ids must ascend within a group) by its projection key."""
+    def repeats(self, rows: np.ndarray) -> list:
+        """Per row of a 2-D array, its bytes where a later query of the same
+        bytes may take its answer, else None."""
+        if not self._tol >= 0.0:
+            return [None] * len(rows)
+        finite = np.isfinite(rows).all(axis=1).tolist()
+        return [row.tobytes() if ok else None for row, ok in zip(rows, finite)]
+
+    def first(self, key: tuple[float, float], within, repeat=None, group=None):
+        """The first id of ``group`` whose stored row passes ``within(id)``, or
+        None; ``repeat`` is the query's entry of ``repeats``."""
+        if repeat is not None and (group, repeat) in self._answers:
+            return self._answers[group, repeat]
+        for ident in self.candidates(key, group):
+            if within(ident):
+                if repeat is not None:
+                    self._answers[group, repeat] = ident
+                return ident
+        return None
+
+    def add(self, ident: int, key: tuple[float, float], group=None, repeat=None) -> None:
+        """Store row ``ident`` (ids must ascend within a group) by its projection
+        key; a query whose ``repeats`` entry is ``repeat`` answers ``ident``."""
+        if repeat is not None:
+            self._answers[group, repeat] = ident
         p, s = key
         self._groups.setdefault(group, []).append(ident)
         cell = p / self._pitch
@@ -147,18 +179,24 @@ def _block_signature(t: Transducer, part: Partition) -> np.ndarray:
 
 def _split_by_signature(sig: np.ndarray, tol: float, class_of) -> Partition:
     """Split each class greedily: in state order, a state joins the first leader
-    of its class within tol (max norm) of its signature, or leads a new class."""
+    of its class within tol (max norm) of its signature, or leads a new class.
+
+    A class of one state cannot split, so only the states of larger classes
+    are looked up, and a signature repeating an earlier one of its class bit
+    for bit takes that one's leader (``_TolIndex.first``).
+    """
+    class_of = np.asarray(class_of, dtype=np.intp)
+    multi = np.flatnonzero(np.bincount(class_of)[class_of] > 1)
+    assign = list(range(len(class_of)))
+    rows = sig[multi]
     index = _TolIndex(sig.shape[1], tol)
-    assign: list[int] = []
-    for j, key in enumerate(index.project(sig)):
-        group = class_of[j]
-        for lead in index.candidates(key, group):
-            if np.all(np.abs(sig[j] - sig[lead]) <= tol):
-                assign.append(lead)
-                break
+    groups = class_of[multi].tolist()
+    for j, group, key, repeat in zip(multi.tolist(), groups, index.project(rows), index.repeats(rows)):
+        lead = index.first(key, lambda k: (np.abs(sig[j] - sig[k]) <= tol).all(), repeat, group)
+        if lead is None:
+            index.add(j, key, group, repeat)
         else:
-            index.add(j, key, group)
-            assign.append(j)
+            assign[j] = lead
     return Partition.from_assignment(assign)
 
 
@@ -166,18 +204,19 @@ def coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
     """Coarsest partition merging states with matching emission and block signatures.
 
     Starts from emission signatures, then splits each class by its members'
-    signatures against the current blocks until no class splits.  A split
-    never merges states of different classes, so the class count only grows
-    and refinement ends within n rounds.
+    signatures against the current blocks until no class splits, or until
+    every class holds one state.  A split never merges states of different
+    classes, so the class count only grows and refinement ends within n rounds.
     """
     em = _emission_signature(t)
     part = _split_by_signature(em, tol, [0] * t.n)
-    while True:
+    while part.n_classes < t.n:
         sig = np.concatenate([em, _block_signature(t, part)], axis=1)
         refined = _split_by_signature(sig, tol, part.class_of)
         if refined.n_classes == part.n_classes:
             return part
         part = refined
+    return part
 
 
 def _quotient(t: Transducer, part: Partition, tol: float) -> tuple[Transducer, float]:

@@ -796,6 +796,47 @@ def loop_transducer_to_doc(t: Transducer) -> dict:
     }
 
 
+def loop_transducer_from_doc(doc: dict, where: str = "transducer") -> Transducer:
+    """The machine file reader one kernel record at a time, each field checked
+    in turn; a StructureError names the first record refused."""
+    if not isinstance(doc, dict):
+        raise StructureError(f"{where}: expected an object at the top level")
+    states = doc["states"]
+    state_idx = {str(s): k for k, s in enumerate(states)}
+    act, out = Alphabet(doc["actions"]), Alphabet(doc["outputs"])
+    kernel = np.zeros((len(act), len(out), len(states), len(states)))
+    seen: dict = {}
+    for k, rec in enumerate(doc["kernel"]):
+        spot = f"{where}: kernel[{k}]"
+        if not isinstance(rec, dict):
+            raise StructureError(f"{spot}: expected an object")
+        for key in ("from", "to"):
+            if key not in rec:
+                raise StructureError(f"{spot}: missing field {key!r}")
+        src, dst = str(rec["from"]), str(rec["to"])
+        for label in (src, dst):
+            if label not in state_idx:
+                raise StructureError(f"{spot}: unknown state {label!r}")
+        labels = []
+        for key, alphabet in (("action", act), ("output", out)):
+            if key not in rec:
+                raise StructureError(f"{spot}: missing field {key!r}")
+            labels.append(alphabet.index(rec[key]))
+        if "prob" not in rec:
+            raise StructureError(f"{spot}: missing field 'prob'")
+        prob = rec["prob"]
+        if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+            raise StructureError(f"{spot}: field 'prob' has the wrong type")
+        if isinstance(prob, int) and abs(prob) > np.finfo(float).max:
+            raise StructureError(f"{spot}: field 'prob' is past the float range")
+        cell = (*labels, state_idx[dst], state_idx[src])
+        if cell in seen:
+            raise StructureError(f"{spot}: same (from, action, output, to) as kernel[{seen[cell]}]")
+        seen[cell] = k
+        kernel[cell] = prob
+    return Transducer(doc["name"], states, act, out, kernel, doc["initial"])
+
+
 def loop_reverse_records(t: Transducer, matrices: np.ndarray) -> list:
     """The per-time backward kernel records of ``vatworld reverse --out``."""
     records = []

@@ -283,6 +283,25 @@ class TestBuildMsp:
         t = property_machine(kind, seed)
         assert _closure(build_msp, t, tol) == _closure(scan_build_msp, t, tol)
 
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS + (np.nan,))
+    @pytest.mark.parametrize("shape", ["one belief", "near-tie chain"])
+    def test_repeated_updates_close_as_the_linear_scan(self, shape, tol):
+        # Letters with equal matrices give updates equal bit for bit.  "one
+        # belief" sends every belief to (1/2, 1/2); in "near-tie chain" the
+        # letters lead to a, b, c, b, c, with b within 1e-3 (L1) of a and of c,
+        # and c not within 1e-3 of a.  Under a nan tol no update is within tol
+        # of any belief, repeats included, so both refuse at the cap.
+        if shape == "one belief":
+            targets = [np.array([0.5, 0.5])] * 2
+        else:
+            a, d = np.array([0.5, 0.3, 0.2]), 0.4e-3 * np.array([1.0, -1.0, 0.0])
+            targets = [a, a + d, a + 2 * d, a + d, a + 2 * d]
+        n, share = len(targets[0]), 1.0 / len(targets)
+        kernel = np.array([[np.outer(share * b, np.ones(n)) for b in targets]])
+        initial = np.eye(n)[0]
+        t = Transducer(shape, [f"s{i}" for i in range(n)], ["go"], [f"y{k}" for k in range(len(targets))], kernel, initial)
+        assert _closure(build_msp, t, tol) == _closure(scan_build_msp, t, tol)
+
     def test_reference_refuses_a_leaky_source_the_link_certifies(self):
         # valid at 2e-3, but pruning y leaves the belief column 0.0024 short
         kernel = np.zeros((1, 2, 2, 2))

@@ -1,5 +1,6 @@
 """File formats, round-trip stability, CLI exit codes, and determinism."""
 
+import copy
 import hashlib
 import json
 import os
@@ -22,9 +23,11 @@ from vatworld.oracle import equivalent
 from conftest import (
     PROPERTY_KINDS,
     loop_reverse_records,
+    loop_transducer_from_doc,
     loop_transducer_to_doc,
     pair_machine,
     property_machine,
+    random_transducer,
 )
 
 
@@ -81,6 +84,64 @@ class TestTransducerFormat:
         assert "kernel[2]" in str(err.value)
         assert "nope" in str(err.value)
 
+    def test_numeric_labels_load_as_their_strings(self):
+        labels = {"states": [0, 1.5, None], "actions": [10, True], "outputs": [-1, 2.0]}
+        t = random_transducer(np.random.default_rng(3), n=3)
+        t = Transducer("numeric", *([str(x) for x in labels[key]] for key in labels), t.kernel, t.initial)
+        text = vio.dumps(vio.transducer_to_doc(t))
+        doc = vio.transducer_to_doc(t)
+        number = {str(x): x for field in labels.values() for x in field}
+        for rec in doc["kernel"]:
+            for key in ("from", "action", "output", "to"):
+                rec[key] = number[rec[key]]
+        doc.update(labels)
+        assert vio.dumps(vio.transducer_to_doc(vio.transducer_from_doc(doc, "m.json"))) == text
+        assert vio.dumps(vio.transducer_to_doc(loop_transducer_from_doc(doc, "m.json"))) == text
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["replace", "drop", "set", "copy"]),
+                st.integers(0, 40),
+                st.integers(0, 40),
+                st.sampled_from(["from", "action", "output", "to", "prob"]),
+                st.sampled_from(
+                    [5, None, "x", [], 0, 1, 2, 1.0, 0.5, -0.0, "0", "1", "9", True,
+                     10**300, 10**400, -(10**400), float("nan"), float("inf"), {}]
+                ),
+            ),
+            max_size=3,
+        ),
+    )
+    def test_edited_records_load_or_fail_as_the_record_loop(self, seed, edits):
+        # labels that are numbers as text, so that numbers match them through str()
+        t = property_machine("dense", seed)
+        digits = [[str(k) for k in range(size)] for size in (t.n, len(t.actions), len(t.outputs))]
+        t = Transducer("edited", *digits, t.kernel, t.initial)
+        doc = vio.transducer_to_doc(t)
+        records = doc["kernel"]
+        for op, k, k2, key, value in edits:
+            k %= len(records)
+            if op == "replace":
+                records[k] = value
+            elif op == "copy":
+                records.insert(k2 % (len(records) + 1), copy.deepcopy(records[k]))
+            elif isinstance(records[k], dict):
+                if op == "drop":
+                    records[k].pop(key, None)
+                else:
+                    records[k][key] = value
+
+        def outcome(read):
+            try:
+                return vio.dumps(vio.transducer_to_doc(read(copy.deepcopy(doc), "m.json")))
+            except StructureError as exc:
+                return f"StructureError: {exc}"
+
+        assert outcome(vio.transducer_from_doc) == outcome(loop_transducer_from_doc)
+
     def test_malformed_text_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -105,6 +166,14 @@ class TestGeneralizedFormat:
         doc["matrices"] = doc["matrices"][:-1]
         with pytest.raises(StructureError):
             vio.generalized_from_doc(doc)
+
+
+    def test_repeated_matrix_rejected(self, fix_c):
+        doc = vio.generalized_to_doc(reduce_generalized(fix_c))
+        doc["matrices"].append(dict(doc["matrices"][1], rows=np.zeros((doc["dims"],) * 2).tolist()))
+        wrong = rf"^g.json: matrices\[{len(doc['matrices']) - 1}\]: same \(action, output\) as matrices\[1\]$"
+        with pytest.raises(StructureError, match=wrong):
+            vio.generalized_from_doc(doc, "g.json")
 
 
 class TestHistoryAndPolicyFiles:
@@ -238,6 +307,11 @@ _JSON_DOCS = st.recursive(
 _JSON_ROWS = st.lists(
     st.lists(_JSON_SCALARS, max_size=4) | st.tuples(_JSON_SCALARS, _JSON_SCALARS), max_size=5
 )
+_JSON_RECORDS = st.lists(
+    st.dictionaries(st.text(max_size=4) | st.sampled_from(["", "}", "{", "},\n    {"]), _JSON_SCALARS, max_size=4)
+    | st.dictionaries(st.integers(0, 3), _JSON_SCALARS, max_size=2),
+    max_size=6,
+) | st.lists(st.dictionaries(st.text(max_size=3), _JSON_SCALARS, min_size=1, max_size=5), max_size=70)
 
 
 class TestCanonicalText:
@@ -245,7 +319,8 @@ class TestCanonicalText:
     @given(
         doc=_JSON_DOCS
         | _JSON_ROWS
-        | st.dictionaries(st.text(max_size=2), _JSON_ROWS | _JSON_DOCS, max_size=3)
+        | _JSON_RECORDS
+        | st.dictionaries(st.text(max_size=2), _JSON_ROWS | _JSON_RECORDS | _JSON_DOCS, max_size=3)
     )
     def test_same_bytes_as_json_dumps(self, doc):
         assert vio.dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vatworld.beliefs import build_msp
-from vatworld.core import make_card_deck, validate
+from vatworld.core import Transducer, make_card_deck, validate
 from vatworld.epsilon import is_isomorphic
 from vatworld.errors import PartitionError
 from vatworld.minimize import (
     Partition,
     _block_signature,
     _quotient,
+    _split_by_signature,
     _TolIndex,
     coarsest_bisimulation,
     minimize_bisim,
@@ -28,6 +29,7 @@ from conftest import (
     property_machine,
     random_transducer,
     scan_coarsest_bisimulation,
+    scan_group_by_signature,
 )
 
 
@@ -158,6 +160,99 @@ class TestTolIndex:
         lattice = rng.integers(-3, 4, size=(32, dim)) * (tol / 2) + rng.random(dim)
         rows = lattice + rng.integers(-2, 3, size=lattice.shape) * np.spacing(lattice)
         _assert_index_matches_the_scan(rows, tol)
+
+
+def _memo_rows(kind: str, tol: float) -> np.ndarray:
+    """Rows that repeat earlier ones bit for bit, interleaved with their near twins."""
+    a = np.array([0.5, 0.3, 0.2])
+    if kind == "near-tie chain":
+        # b is within tol of a, c within tol of b but not of a (max norm); b
+        # and c come back bit for bit, and a repeat of c must not join a
+        d = 0.6 * tol * np.array([1.0, -1.0, 0.0])
+        b, c = a + d, a + 2 * d
+        return np.array([a, b, c, b, c, a, c, b])
+    if kind == "nan and inf":
+        nan, inf = np.full(3, np.nan), np.full(3, np.inf)
+        mixed = np.array([np.inf, 0.3, np.nan])
+        return np.array([a, nan, a, nan, inf, -inf, inf, -inf, mixed, a, mixed, a + tol / 2])
+    if kind == "signed zero":
+        pos, neg = np.array([0.0, 0.5, 0.5]), np.array([-0.0, 0.5, -0.0])
+        return np.array([pos, np.abs(neg), neg, pos, neg, -neg, np.abs(neg)])
+    return np.array([a, a + tol / 2, a, a + 2 * tol, a + tol / 2, a, a + 2 * tol])
+
+
+def _scan_split(rows: np.ndarray, tol: float, class_of) -> Partition:
+    """The scan grouping of each class of ``class_of`` on its own."""
+    classes: dict = {}
+    for j, c in enumerate(class_of):
+        classes.setdefault(c, []).append(j)
+    return Partition.from_classes(
+        [
+            [members[i] for i in group]
+            for members in classes.values()
+            for group in scan_group_by_signature(rows[members], tol).classes
+        ],
+        len(rows),
+    )
+
+
+class TestRepeatMemo:
+    """A row repeating an earlier one bit for bit takes that one's answer, as
+    the scan would give it: never under a nan or negative tol, never for a
+    non-finite row, and never across classes."""
+
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS + (np.nan, -1e-9, np.inf))
+    @pytest.mark.parametrize("kind", ["repeats", "near-tie chain", "nan and inf", "signed zero"])
+    def test_split_is_the_scan_grouping(self, kind, tol):
+        with np.errstate(invalid="ignore"):  # inf - inf, and 0 * inf at tol inf
+            rows = _memo_rows(kind, tol)
+            n = len(rows)
+            for class_of in ([0] * n, [j % 2 for j in range(n)], [j // 3 for j in range(n)]):
+                assert _split_by_signature(rows, tol, class_of) == _scan_split(rows, tol, class_of)
+
+    def test_a_repeat_takes_the_first_answer_without_a_lookup(self):
+        rows = _memo_rows("near-tie chain", 1e-3)
+        index = _TolIndex(3, 1e-3)
+        repeats = index.repeats(rows)
+        assert repeats[1] == repeats[3] and repeats[2] == repeats[4]
+        index.add(0, index.project(rows[:1])[0], repeat=repeats[0])
+        assert index.first(index.project(rows[1:2])[0], lambda k: True, repeats[1]) == 0
+        # the answer kept for b's bytes is 0, whatever the distance test says now
+        assert index.first(index.project(rows[3:4])[0], lambda k: False, repeats[3]) == 0
+        assert index.first(index.project(rows[2:3])[0], lambda k: False, repeats[2]) is None
+
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9])
+    def test_no_answer_is_kept_where_no_row_is_within_tol(self, tol):
+        index = _TolIndex(3, tol)
+        assert index.repeats(np.ones((2, 3))) == [None, None]
+
+    def test_no_answer_is_kept_for_a_non_finite_row(self):
+        rows = _memo_rows("nan and inf", 1e-9)
+        finite = np.isfinite(rows).all(axis=1)
+        assert [r is not None for r in _TolIndex(3, 1e-9).repeats(rows)] == finite.tolist()
+
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS + (np.nan,))
+    def test_refinement_is_the_scan_refinement_on_repeated_states(self, tol):
+        # copies of each deck state, every block signature repeated bit for bit
+        deck = build_msp(make_card_deck(3, 2, "flip_shuffle")).machine
+        n = deck.n
+        kernel = np.zeros((*deck.kernel.shape[:2], 2 * n, 2 * n))
+        for copy in (0, n):
+            kernel[:, :, :n, copy : copy + n] = deck.kernel / 2
+            kernel[:, :, n:, copy : copy + n] = deck.kernel / 2
+        states = [f"{s}{c}" for c in "ab" for s in deck.states]
+        doubled = Transducer("doubled", states, deck.actions, deck.outputs, kernel, np.ones(2 * n) / (2 * n))
+        for m in (deck, doubled):
+            assert coarsest_bisimulation(m, tol) == scan_coarsest_bisimulation(m, tol)
+
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS + (np.nan,))
+    def test_refinement_is_the_scan_refinement_with_non_finite_entries(self, fix_b, tol):
+        for spot, bad in [((0, 0, 0, 1), np.nan), ((0, 1, 2, 2), np.inf), ((1, 0, 1, 1), -np.inf)]:
+            kernel = np.array(fix_b.kernel)
+            kernel[spot] = bad
+            t = Transducer("bad", fix_b.states, fix_b.actions, fix_b.outputs, kernel, fix_b.initial)
+            with np.errstate(invalid="ignore"):
+                assert coarsest_bisimulation(t, tol) == scan_coarsest_bisimulation(t, tol)
 
 
 class TestCoarsestBisimulation:
