@@ -298,8 +298,8 @@ class TestBuildMsp:
             targets = [a, a + d, a + 2 * d, a + d, a + 2 * d]
         n, share = len(targets[0]), 1.0 / len(targets)
         kernel = np.array([[np.outer(share * b, np.ones(n)) for b in targets]])
-        initial = np.eye(n)[0]
-        t = Transducer(shape, [f"s{i}" for i in range(n)], ["go"], [f"y{k}" for k in range(len(targets))], kernel, initial)
+        outputs = [f"y{k}" for k in range(len(targets))]
+        t = Transducer(shape, [f"s{i}" for i in range(n)], ["go"], outputs, kernel, np.eye(n)[0])
         assert _closure(build_msp, t, tol) == _closure(scan_build_msp, t, tol)
 
     def test_reference_refuses_a_leaky_source_the_link_certifies(self):

@@ -87,7 +87,8 @@ class TestTransducerFormat:
     def test_numeric_labels_load_as_their_strings(self):
         labels = {"states": [0, 1.5, None], "actions": [10, True], "outputs": [-1, 2.0]}
         t = random_transducer(np.random.default_rng(3), n=3)
-        t = Transducer("numeric", *([str(x) for x in labels[key]] for key in labels), t.kernel, t.initial)
+        texts = ([str(x) for x in field] for field in labels.values())
+        t = Transducer("numeric", *texts, t.kernel, t.initial)
         text = vio.dumps(vio.transducer_to_doc(t))
         doc = vio.transducer_to_doc(t)
         number = {str(x): x for field in labels.values() for x in field}
@@ -167,11 +168,11 @@ class TestGeneralizedFormat:
         with pytest.raises(StructureError):
             vio.generalized_from_doc(doc)
 
-
     def test_repeated_matrix_rejected(self, fix_c):
         doc = vio.generalized_to_doc(reduce_generalized(fix_c))
         doc["matrices"].append(dict(doc["matrices"][1], rows=np.zeros((doc["dims"],) * 2).tolist()))
-        wrong = rf"^g.json: matrices\[{len(doc['matrices']) - 1}\]: same \(action, output\) as matrices\[1\]$"
+        last = len(doc["matrices"]) - 1
+        wrong = rf"^g.json: matrices\[{last}\]: same \(action, output\) as matrices\[1\]$"
         with pytest.raises(StructureError, match=wrong):
             vio.generalized_from_doc(doc, "g.json")
 
@@ -307,8 +308,11 @@ _JSON_DOCS = st.recursive(
 _JSON_ROWS = st.lists(
     st.lists(_JSON_SCALARS, max_size=4) | st.tuples(_JSON_SCALARS, _JSON_SCALARS), max_size=5
 )
+# kernel-record-like lists: keys that look like record boundaries, non-string
+# keys, empty records, and lists longer than one encoder call
+_JSON_KEYS = st.text(max_size=4) | st.sampled_from(["", "}", "{", "},\n    {"])
 _JSON_RECORDS = st.lists(
-    st.dictionaries(st.text(max_size=4) | st.sampled_from(["", "}", "{", "},\n    {"]), _JSON_SCALARS, max_size=4)
+    st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=4)
     | st.dictionaries(st.integers(0, 3), _JSON_SCALARS, max_size=2),
     max_size=6,
 ) | st.lists(st.dictionaries(st.text(max_size=3), _JSON_SCALARS, min_size=1, max_size=5), max_size=70)

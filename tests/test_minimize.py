@@ -176,8 +176,10 @@ def _memo_rows(kind: str, tol: float) -> np.ndarray:
         mixed = np.array([np.inf, 0.3, np.nan])
         return np.array([a, nan, a, nan, inf, -inf, inf, -inf, mixed, a, mixed, a + tol / 2])
     if kind == "signed zero":
-        pos, neg = np.array([0.0, 0.5, 0.5]), np.array([-0.0, 0.5, -0.0])
-        return np.array([pos, np.abs(neg), neg, pos, neg, -neg, np.abs(neg)])
+        # u and v, w and x are equal with bytes that differ
+        u, v = np.array([0.0, 0.5, 0.5]), np.array([-0.0, 0.5, 0.5])
+        w, x = np.array([0.0, 1.0, 0.0]), np.array([-0.0, 1.0, -0.0])
+        return np.array([v, u, w, v, u, x, w, x, v])
     return np.array([a, a + tol / 2, a, a + 2 * tol, a + tol / 2, a, a + 2 * tol])
 
 
