@@ -24,6 +24,20 @@ from .minimize import _TolIndex
 from .oracle import equivalent
 
 
+def _require_laws(rows: np.ndarray, tol: float = 1e-8) -> None:
+    """Refuse, as a StructureError, the first row of the 2-d ``rows`` with an
+    entry below -tol (NaN included) or a sum off 1 by more than max(tol, 1e-9)."""
+    negative = ~np.all(rows >= -tol, axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf comes only with a negative entry
+        sums = rows.sum(axis=1)
+    bad = negative | ~(np.abs(sums - 1.0) <= max(tol, 1e-9))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise StructureError(f"belief has a negative entry: {rows[i].min():.3g}")
+        raise StructureError(f"belief weights sum to {sums[i]:.12g}, not 1")
+
+
 @dataclass(frozen=True)
 class BeliefState:
     """Distribution over a base machine's states."""
@@ -34,10 +48,7 @@ class BeliefState:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise StructureError("belief weights must be a non-empty vector")
-        if not np.all(w >= -tol):
-            raise StructureError(f"belief has a negative entry: {w.min():.3g}")
-        if not abs(w.sum() - 1.0) <= max(tol, 1e-9):
-            raise StructureError(f"belief weights sum to {w.sum():.12g}, not 1")
+        _require_laws(w[None], tol)
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -48,11 +59,14 @@ class BeliefState:
         w[index] = 1.0
         return BeliefState(w)
 
-    def l1_distance(self, other: "BeliefState") -> float:
-        return float(np.abs(self.weights - other.weights).sum())
 
-    def __len__(self):
-        return self.weights.size
+def _normalized(raw: np.ndarray, impossible: str) -> BeliefState:
+    """``raw`` over its sum, as a belief; ImpossibleHistoryError(impossible)
+    when that sum is not positive."""
+    z = float(raw.sum())
+    if z <= 0.0:
+        raise ImpossibleHistoryError(impossible)
+    return BeliefState(raw / z)
 
 
 def _require_io_moore(t: Transducer, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -74,13 +88,8 @@ def predictive_update(t: Transducer, b: BeliefState, action, output) -> BeliefSt
     """
     a = t.actions.index(action)
     y = t.outputs.index(output)
-    raw = t.kernel[a, y] @ b.weights
-    z = float(raw.sum())
-    if z <= 0.0:
-        raise ImpossibleHistoryError(
-            f"output {output!r} under action {action!r} is impossible for this belief"
-        )
-    return BeliefState(raw / z)
+    impossible = f"output {output!r} under action {action!r} is impossible for this belief"
+    return _normalized(t.kernel[a, y] @ b.weights, impossible)
 
 
 def postdictive_update(
@@ -94,13 +103,8 @@ def postdictive_update(
     emission, transition = _require_io_moore(t, tol)
     a = t.actions.index(action)
     y = t.outputs.index(y_next)
-    raw = emission[y] * (transition[a] @ d.weights)
-    z = float(raw.sum())
-    if z <= 0.0:
-        raise ImpossibleHistoryError(
-            f"next output {y_next!r} is impossible after action {action!r} from this belief"
-        )
-    return BeliefState(raw / z)
+    impossible = f"next output {y_next!r} is impossible after action {action!r} from this belief"
+    return _normalized(emission[y] * (transition[a] @ d.weights), impossible)
 
 
 def predict(t: Transducer, d: BeliefState, action, tol: float = DEFAULT_TOL) -> BeliefState:
@@ -114,11 +118,8 @@ def update(t: Transducer, prior: BeliefState, output, tol: float = DEFAULT_TOL) 
     """Reweight a belief by the emission likelihood of an observed output."""
     emission, _ = _require_io_moore(t, tol)
     y = t.outputs.index(output)
-    raw = emission[y] * prior.weights
-    z = float(raw.sum())
-    if z <= 0.0:
-        raise ImpossibleHistoryError(f"output {output!r} is impossible under this belief")
-    return BeliefState(raw / z)
+    impossible = f"output {output!r} is impossible under this belief"
+    return _normalized(emission[y] * prior.weights, impossible)
 
 
 def is_unifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
@@ -129,11 +130,11 @@ def is_unifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
 
 @dataclass(frozen=True)
 class BeliefTransducer:
-    """A machine over deduplicated reachable beliefs, with their payloads."""
+    """A machine over deduplicated reachable beliefs; row i of the read-only
+    ``beliefs`` is state i's law over the source's states (``beliefs.T`` is L)."""
 
-    base: Transducer
     machine: Transducer
-    state_payload: tuple[BeliefState, ...]
+    beliefs: np.ndarray
 
     @property
     def n(self) -> int:
@@ -166,14 +167,15 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     (with closure diagnostics) rather than truncating silently past
     ``max_states`` beliefs, which also bounds the depth.  An invalid source,
     at the belief machine's tolerance max(DEFAULT_TOL, |Y| * tol), or
-    ``max_states`` below 1 raises StructureError.  The result is unifilar by construction and checked once,
-    by its link to the source, the largest column L1 norm of T_x L - L B_x
-    with L the beliefs as columns.  A merged update T_x b lies within
-    tol * |T_x b|_1 of its belief times emit, and a pruned one (emit <= tol)
-    leaves |T_x b|_1, emit plus twice its negative mass: tol on a stochastic
-    source.  ``_belief_link`` computes the residual and that allowance from
-    one product T_x L; past the allowance by over 8 (n + k) machine
-    epsilons, a RuntimeError reports a construction bug.
+    ``max_states`` below 1 raises StructureError.  The result is unifilar by
+    construction and checked once, by its link to the source, the largest
+    column L1 norm of T_x L - L B_x with L the beliefs as columns.  A merged
+    update T_x b lies within tol * |T_x b|_1 of its belief times emit, and a
+    pruned one (emit <= tol) leaves |T_x b|_1, emit plus twice its negative
+    mass: tol on a stochastic source.  ``_belief_link`` computes the residual
+    and that allowance from one product T_x L; past the allowance by over
+    8 (n + k) machine epsilons, a RuntimeError reports a construction bug.
+    Then every belief is checked as a ``BeliefState`` checks its one.
     """
     if max_states < 1:
         raise StructureError(f"max_states must be at least 1, got {max_states}")
@@ -235,8 +237,8 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     # one edge per kept (belief, letter), so no cell is written twice
     kernel[np.concatenate(letters), targets, sources] = np.concatenate(emits)
     kernel = kernel.reshape(n_actions, n_outputs, k, k)
-    link = np.stack(beliefs, axis=1)
-    residual, allowance = _belief_link(t.kernel, link, kernel, tol)
+    rows = np.array(beliefs)
+    residual, allowance = _belief_link(t.kernel, rows.T, kernel, tol)
     rounding = 8 * (t.n + k) * float(np.finfo(float).eps)
     if not residual <= allowance + rounding:
         raise RuntimeError(f"belief machine is off its beliefs by {residual:.3g}; construction bug")
@@ -250,8 +252,9 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
         kernel,
         initial,
     )
-    payload = tuple(BeliefState(b) for b in beliefs)
-    return BeliefTransducer(t, machine, payload)
+    _require_laws(rows)
+    rows.setflags(write=False)
+    return BeliefTransducer(machine, rows)
 
 
 def is_faithful(msp: BeliefTransducer, t: Transducer, tol: float = DEFAULT_TOL) -> bool:

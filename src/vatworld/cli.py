@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -50,15 +49,7 @@ class RunReport:
         self.verdicts.append({"name": name, "value": value})
 
     def to_json(self) -> str:
-        return vio.dumps(
-            {
-                "command": self.command,
-                "inputs": self.inputs,
-                "parameters": self.parameters,
-                "verdicts": self.verdicts,
-                "artifacts": self.artifacts,
-            }
-        )
+        return vio.dumps(vars(self))  # the fields, in declaration order
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -81,25 +72,21 @@ def _plain(value) -> str:
     return str(value)
 
 
-def _read_input(report: RunReport, path: str) -> str:
-    """An input file's text from one read: ``report.inputs`` gets the SHA-256
-    of its bytes, and the text is decoded as text mode does (UTF-8, universal
-    newlines), so error positions are those of the file opened as text."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    report.inputs[path] = hashlib.sha256(raw).hexdigest()
-    return raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+def _read_doc(report: RunReport, path: str):
+    """An input file's document; ``report.inputs`` gets the SHA-256 of its bytes."""
+    doc, report.inputs[path] = vio.read_doc(path)
+    return doc
 
 
 def _load_machine(report: RunReport, path: str, finite: bool = True) -> Transducer:
     """Load a machine file; unless finite is False, refuse a NaN or infinite entry."""
-    t = vio.transducer_from_doc(vio.loads(_read_input(report, path)), where=path)
+    t = vio.transducer_from_doc(_read_doc(report, path), where=path)
     if finite and not (np.isfinite(t.kernel).all() and np.isfinite(t.initial).all()):
         raise StructureError(f"{path}: {validate(t).violations[0]}")  # the first is non_finite
     return t
 
 
-def _parse_policy(spec: str) -> Policy:
+def _parse_policy(report: RunReport, spec: str) -> Policy:
     if spec == "uniform":
         return Policy.uniform()
     if spec.startswith("weighted:"):
@@ -109,7 +96,8 @@ def _parse_policy(spec: str) -> Policy:
             raise StructureError(f"policy {spec!r}: {exc}") from exc
         return Policy.weighted(weights)
     if spec.startswith("file:"):
-        return vio.load_policy(spec.split(":", 1)[1])
+        path = spec.split(":", 1)[1]
+        return vio.policy_from_doc(_read_doc(report, path), where=path)
     raise StructureError(
         f"unknown policy {spec!r}; expected uniform, weighted:<w1,w2,...>, or file:<path>"
     )
@@ -265,7 +253,7 @@ def _cmd_prob(args, report: RunReport) -> int:
 
 def _cmd_sample(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
-    policy = _parse_policy(args.policy)
+    policy = _parse_policy(report, args.policy)
     try:
         acts, outs, states = sample_trajectory(t, policy, args.length, args.seed)
     except ValueError as exc:  # a column or an action law that is not a distribution
@@ -339,12 +327,8 @@ def _cmd_msp(args, report: RunReport) -> int:
     report.add("belief_states", msp.n)
     if args.out:
         doc = vio.transducer_to_doc(msp.machine)
-        doc["state_payloads"] = {
-            msp.machine.states[k]: msp.state_payload[k].weights.tolist()
-            for k in range(msp.n)
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(vio.dumps(doc))
+        doc["state_payloads"] = dict(zip(msp.machine.states, msp.beliefs.tolist()))
+        vio.write_doc(doc, args.out)
         report.artifacts.append(args.out)
     return 0
 
@@ -375,7 +359,7 @@ def _cmd_epsilon(args, report: RunReport) -> int:
 
 def _cmd_reverse(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
-    policy = _parse_policy(args.policy)
+    policy = _parse_policy(report, args.policy)
     verdict = check_reversible(t, args.horizon, args.tol)
     report.parameters.update(
         {"policy": policy.describe(), "horizon": args.horizon, "tol": args.tol}
@@ -392,23 +376,24 @@ def _cmd_reverse(args, report: RunReport) -> int:
                 "tau": tau,
                 "policy": policy.describe(),
                 "defined": {
-                    t.actions.symbols[a]: [
-                        t.states[j] for j in range(t.n) if rk.defined_mask[a, j]
-                    ]
-                    for a in range(len(t.actions))
+                    action: [t.states[j] for j in np.flatnonzero(mask)]
+                    for action, mask in zip(t.actions.symbols, rk.defined_mask)
                 },
                 "kernel": vio.kernel_records(t, rk.matrices, walk=(0, 1, 2, 3)),
             }
             path = f"{args.out}.tau{tau}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(vio.dumps(doc))
+            vio.write_doc(doc, path)
             report.artifacts.append(path)
     return 0 if verdict.reversible else 1
 
 
 def _cmd_smooth(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
-    h = vio.history_from_doc(vio.loads(_read_input(report, args.trace)), where=args.trace)
+    h = vio.history_from_doc(_read_doc(report, args.trace), where=args.trace)
+    try:
+        t.word_indices(h)
+    except StructureError as exc:  # a label the machine lacks
+        raise StructureError(f"{args.trace}: {exc}") from None
     post = smooth(t, h)
     rho = bdmsm_from_word(t, h)
     report.parameters.update({"trace_length": len(h)})

@@ -149,12 +149,6 @@ class Transducer:
     def n(self) -> int:
         return len(self.states)
 
-    def state_index(self, label) -> int:
-        try:
-            return self.states.index(str(label))
-        except ValueError:
-            raise StructureError(f"state {label!r} not among {self.states}") from None
-
     def matrix(self, action, output) -> np.ndarray:
         """One-step substochastic matrix for the given (action, output) labels."""
         return self.kernel[self.actions.index(action), self.outputs.index(output)]

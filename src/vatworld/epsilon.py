@@ -61,7 +61,7 @@ def epsilon_transducer(
     machine, delta_q = _quotient(msp.machine, coarsest_bisimulation(msp.machine, tol), tol)
     if not is_unifilar(machine, tol):
         raise RuntimeError("reduced belief machine lost unifilarity; construction bug")
-    link = np.stack([b.weights for b in msp.state_payload], axis=1)
+    link = msp.beliefs.T
     residual, allowance = _belief_link(t.kernel, link, msp.machine.kernel, tol)
     residual += delta_q
     mass_gap = float(np.abs(link.sum(axis=0) - 1.0).max())
@@ -135,6 +135,8 @@ def epsilon_from_histories(
         vecs_of.append(vecs[rows])
         if words.shape[1] < hist_depth:  # the walk may end early, when no history is positive
             n_shallow = len(histories)
+    if not histories:
+        raise StructureError(f"{t.name}: no history has positive probability, the empty one included")
     vecs = np.concatenate(vecs_of)
     mass = vecs.sum(axis=1)
 

@@ -9,6 +9,7 @@ for any file this module wrote.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import operator
 
@@ -36,6 +37,15 @@ def _require(doc: dict, key: str, kind, where: str):
 def _require_numbers(doc: dict, key: str, where: str) -> list:
     """doc[key] as a list of numbers: strings, true and false are refused."""
     return _numbers(_require(doc, key, list, where), f"field {key!r}", where)
+
+
+def _symbol(alphabet: Alphabet, rec: dict, key: str, where: str) -> int:
+    """The index of rec[key] in ``alphabet``; an unknown symbol names ``where``."""
+    label = _require(rec, key, None, where)
+    try:
+        return alphabet.index(label)
+    except StructureError as exc:
+        raise StructureError(f"{where}: {exc}") from None
 
 
 def _numbers(items: list, what: str, where: str) -> list:
@@ -147,14 +157,12 @@ def _kernel_by_record(records: list, state_idx: dict, act: Alphabet, out: Alphab
         spot = f"{where}: kernel[{k}]"
         if not isinstance(rec, dict):
             raise StructureError(f"{spot}: expected an object")
-        src = str(_require(rec, "from", None, spot))
-        dst = str(_require(rec, "to", None, spot))
-        if src not in state_idx:
-            raise StructureError(f"{spot}: unknown state {src!r}")
-        if dst not in state_idx:
-            raise StructureError(f"{spot}: unknown state {dst!r}")
-        a = act.index(_require(rec, "action", None, spot))
-        y = out.index(_require(rec, "output", None, spot))
+        src, dst = (str(_require(rec, key, None, spot)) for key in ("from", "to"))
+        for label in (src, dst):
+            if label not in state_idx:
+                raise StructureError(f"{spot}: unknown state {label!r}")
+        a = _symbol(act, rec, "action", spot)
+        y = _symbol(out, rec, "output", spot)
         prob = _require(rec, "prob", (int, float), spot)
         if isinstance(prob, int) and not -_FLOAT_MAX <= prob <= _FLOAT_MAX:
             raise StructureError(f"{spot}: field 'prob' is past the float range")
@@ -171,16 +179,11 @@ def _kernel_by_record(records: list, state_idx: dict, act: Alphabet, out: Alphab
 
 
 def generalized_to_doc(g: GeneralizedTransducer) -> dict:
-    matrices = []
-    for a in range(len(g.actions)):
-        for y in range(len(g.outputs)):
-            matrices.append(
-                {
-                    "action": g.actions.symbols[a],
-                    "output": g.outputs.symbols[y],
-                    "rows": [[float(x) for x in row] for row in g.matrices[a, y]],
-                }
-            )
+    matrices = [
+        {"action": action, "output": output, "rows": g.matrices[a, y].tolist()}
+        for a, action in enumerate(g.actions.symbols)
+        for y, output in enumerate(g.outputs.symbols)
+    ]
     return {
         "dims": g.dims,
         "actions": list(g.actions.symbols),
@@ -205,8 +208,8 @@ def generalized_from_doc(doc: dict, where: str = "generalized transducer") -> Ge
     seen: dict = {}  # (action, output) -> the matrix listing it
     for k, rec in enumerate(_require(doc, "matrices", list, where)):
         spot = f"{where}: matrices[{k}]"
-        a = act.index(_require(rec, "action", None, spot))
-        y = out.index(_require(rec, "output", None, spot))
+        a = _symbol(act, rec, "action", spot)
+        y = _symbol(out, rec, "output", spot)
         rows = _require(rec, "rows", list, spot)
         if len(rows) != dims or not all(isinstance(r, list) and len(r) == dims for r in rows):
             raise StructureError(f"{spot}: rows must be {dims}x{dims}")
@@ -360,31 +363,43 @@ def loads(text: str) -> dict:
         raise StructureError(f"malformed document: {exc}") from exc
 
 
-def save_transducer(t: Transducer, path) -> None:
+def read_doc(path) -> tuple[object, str]:
+    """The document in the file at ``path`` and the SHA-256 of its bytes, from one
+    read, decoded as text mode does (UTF-8, universal newlines)."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return loads(text.replace("\r\n", "\n").replace("\r", "\n")), hashlib.sha256(raw).hexdigest()
+
+
+def write_doc(doc, path) -> None:
+    """Write ``doc``'s canonical text to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(transducer_to_doc(t)))
+        fh.write(dumps(doc))
+
+
+def save_transducer(t: Transducer, path) -> None:
+    write_doc(transducer_to_doc(t), path)
 
 
 def load_transducer(path) -> Transducer:
-    with open(path, "r", encoding="utf-8") as fh:
-        return transducer_from_doc(loads(fh.read()), where=str(path))
+    return transducer_from_doc(read_doc(path)[0], where=str(path))
 
 
 def save_generalized(g: GeneralizedTransducer, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(generalized_to_doc(g)))
+    write_doc(generalized_to_doc(g), path)
 
 
 def load_generalized(path) -> GeneralizedTransducer:
-    with open(path, "r", encoding="utf-8") as fh:
-        return generalized_from_doc(loads(fh.read()), where=str(path))
+    return generalized_from_doc(read_doc(path)[0], where=str(path))
 
 
 def load_history(path) -> History:
-    with open(path, "r", encoding="utf-8") as fh:
-        return history_from_doc(loads(fh.read()), where=str(path))
+    return history_from_doc(read_doc(path)[0], where=str(path))
 
 
 def load_policy(path) -> Policy:
-    with open(path, "r", encoding="utf-8") as fh:
-        return policy_from_doc(loads(fh.read()), where=str(path))
+    return policy_from_doc(read_doc(path)[0], where=str(path))

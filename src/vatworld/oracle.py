@@ -238,7 +238,8 @@ def sample_trajectory(
     rng = np.random.default_rng(seed)
     n = t.n
     n_actions = len(t.actions)
-    state = int(rng.choice(n, p=t.initial / t.initial.sum()))
+    mass = t.initial.sum()  # zero mass: NaN, which choice refuses, without a numpy warning
+    state = int(rng.choice(n, p=t.initial / mass if mass else t.initial + np.nan))
     uniforms = rng.random(2 * length).tolist()
     prefixes = policy.key_prefixes()
     action_cdf = None
@@ -259,7 +260,8 @@ def sample_trajectory(
         cdf = columns.get((a, state))
         if cdf is None:
             joint = t.kernel[a, :, :, state].reshape(-1)  # flat over (y, next)
-            cdf = columns[a, state] = _choice_cdf(joint / joint.sum())
+            mass = joint.sum()
+            cdf = columns[a, state] = _choice_cdf(joint / mass if mass else joint + np.nan)
         y, state = divmod(bisect_right(cdf, u_step), n)
         actions.append(t.actions.symbols[a])
         outputs.append(t.outputs.symbols[y])

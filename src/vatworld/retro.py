@@ -17,10 +17,6 @@ from .beliefs import BeliefState
 from .core import DEFAULT_TOL, History, Transducer
 from .errors import ImpossibleHistoryError, SingularDiagonalError, StructureError
 
-# A posterior over where the machine started is structurally just a belief;
-# the alias marks intent at call sites.
-RetrodictiveBelief = BeliefState
-
 # BeliefState's default tolerance, applied to every row of a smoothed posterior
 _BELIEF_TOL = 1e-8
 
@@ -91,9 +87,9 @@ def predictive_from_bdmsm(rho: BDMSM) -> BeliefState:
     return BeliefState(rho.matrix.sum(axis=1))
 
 
-def retrodictive_from_bdmsm(rho: BDMSM) -> RetrodictiveBelief:
+def retrodictive_from_bdmsm(rho: BDMSM) -> BeliefState:
     """Posterior over the start state: marginalize out the current state."""
-    return RetrodictiveBelief(rho.matrix.sum(axis=0))
+    return BeliefState(rho.matrix.sum(axis=0))
 
 
 def bdmsm_reverse_extend(
@@ -152,7 +148,10 @@ def smooth(t: Transducer, h: History) -> np.ndarray:
     a_idx, y_idx = t.word_indices(h)
     steps = [t.kernel[a, y] for a, y in zip(a_idx, y_idx)]
     forward = np.empty((len(steps) + 1, t.n))
-    forward[0] = t.initial / t.initial.sum()
+    mass = t.initial.sum()
+    if mass == 0.0:
+        raise ImpossibleHistoryError(f"history {h} has probability 0")
+    forward[0] = t.initial / mass
     for m, prev, row in zip(steps, forward, forward[1:]):
         raw = m @ prev
         z = raw.sum()

@@ -240,7 +240,6 @@ def reverse_kernel(
     t: Transducer,
     policy: Policy,
     tau: int,
-    horizon: Optional[int] = None,
     tol: float = DEFAULT_TOL,
     marginals: Optional[MarginalTable] = None,
 ) -> ReverseKernel:
@@ -252,8 +251,7 @@ def reverse_kernel(
     reversible.
     """
     if marginals is None:
-        need = tau + 1 if horizon is None else max(horizon, tau + 1)
-        marginals = state_marginals(t, policy, need)
+        marginals = state_marginals(t, policy, tau + 1)
     if marginals.horizon < tau + 1:
         raise StructureError(
             f"marginal table covers horizon {marginals.horizon}, need {tau + 1}"

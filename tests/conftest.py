@@ -622,8 +622,9 @@ def scan_build_msp(
         raise RuntimeError(f"belief machine failed validation: {report}")
     if not is_unifilar(machine, tol):
         raise RuntimeError("belief machine is not unifilar; this is a construction bug")
-    payload = tuple(BeliefState(b) for b in beliefs)
-    return BeliefTransducer(t, machine, payload)
+    rows = np.array([BeliefState(b).weights for b in beliefs])
+    rows.setflags(write=False)
+    return BeliefTransducer(machine, rows)
 
 
 def scan_epsilon_from_histories(
@@ -821,6 +822,8 @@ def loop_transducer_from_doc(doc: dict, where: str = "transducer") -> Transducer
         for key, alphabet in (("action", act), ("output", out)):
             if key not in rec:
                 raise StructureError(f"{spot}: missing field {key!r}")
+            if str(rec[key]) not in alphabet.symbols:
+                raise StructureError(f"{spot}: symbol {rec[key]!r} not in alphabet {alphabet.symbols}")
             labels.append(alphabet.index(rec[key]))
         if "prob" not in rec:
             raise StructureError(f"{spot}: missing field 'prob'")

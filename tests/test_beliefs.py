@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from vatworld import io as vio
 from vatworld.beliefs import (
     BeliefState,
+    _require_laws,
     build_msp,
     is_faithful,
     is_unifilar,
@@ -44,7 +45,7 @@ def _closure(build, t, tol):
         msp = build(t, tol, max_states=60)
     except (MspClosureError, RuntimeError) as exc:
         return type(exc).__name__, str(exc)
-    return vio.dumps(vio.transducer_to_doc(msp.machine)), [b.weights.tolist() for b in msp.state_payload]
+    return vio.dumps(vio.transducer_to_doc(msp.machine)), msp.beliefs.tolist()
 
 
 class TestBeliefState:
@@ -62,6 +63,38 @@ class TestBeliefState:
     def test_point_mass(self):
         b = BeliefState.point_mass(3, 1)
         np.testing.assert_array_equal(b.weights, [0.0, 1.0, 0.0])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        rows=st.lists(
+            st.sampled_from(
+                [
+                    [1.0, 0.0, 0.0],
+                    [0.25, 0.25, 0.5],
+                    [0.1, 0.2, 0.7],
+                    [1.0 + 1e-9, -1e-9, 0.0],
+                    [1.015, -0.015, 0.0],
+                    [0.5, 0.6, 0.0],
+                    [0.5, 0.5, 1e-7],
+                    [np.nan, 1.0, 0.0],
+                    [np.inf, -np.inf, 1.0],
+                    [-0.5, 0.5, 0.5],
+                ]
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_all_rows_at_once_refuse_as_the_first_refused_belief(self, rows):
+        def refusal(check, *args):
+            try:
+                check(*args)
+            except StructureError as exc:
+                return str(exc)
+            return None
+
+        one_by_one = next(filter(None, (refusal(BeliefState, row) for row in rows)), None)
+        assert refusal(_require_laws, np.array(rows)) == one_by_one
 
 
 class TestPredictiveUpdate:
@@ -201,7 +234,7 @@ class TestBuildMsp:
     def test_redundant_split_closes_to_two_beliefs(self, fix_b):
         msp = build_msp(fix_b)
         assert msp.n == 2
-        payloads = sorted(tuple(np.round(p.weights, 9)) for p in msp.state_payload)
+        payloads = sorted(tuple(np.round(p, 9)) for p in msp.beliefs)
         assert payloads == [(0.0, 0.5, 0.5), (1.0, 0.0, 0.0)]
 
     def test_mixture_does_not_close(self, fix_c):
@@ -324,7 +357,7 @@ class TestBuildMsp:
         except MspClosureError:
             return
         assert loop_is_unifilar(msp.machine, tol)
-        link = np.stack([b.weights for b in msp.state_payload], axis=1)
+        link = msp.beliefs.T
         allowance = 8 * (t.n + msp.n) * float(np.finfo(float).eps)
         for a in range(len(t.actions)):
             for y in range(len(t.outputs)):

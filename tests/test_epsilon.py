@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vatworld.beliefs import BeliefState, BeliefTransducer, build_msp, is_unifilar
+from vatworld.beliefs import BeliefTransducer, build_msp, is_unifilar
 from vatworld.core import Alphabet, Transducer, make_card_deck
 from vatworld.epsilon import (
     canonical_form,
@@ -133,14 +133,14 @@ def perturbed_build(part: str, delta: float):
     def build(t, *args):
         msp = build_msp(t, *args)
         if part == "payload":
-            w = msp.state_payload[-1].weights.copy()
-            w[0] += delta
-            return BeliefTransducer(t, msp.machine, msp.state_payload[:-1] + (BeliefState(w, 1.0),))
+            beliefs = msp.beliefs.copy()
+            beliefs[-1, 0] += delta
+            return BeliefTransducer(msp.machine, beliefs)
         m = msp.machine
         kernel = m.kernel.copy()
         kernel.flat[np.argmax(kernel)] += delta
         machine = Transducer(m.name, m.states, m.actions, m.outputs, kernel, m.initial)
-        return BeliefTransducer(t, machine, msp.state_payload)
+        return BeliefTransducer(machine, msp.beliefs)
 
     return build
 

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1077,3 +1078,136 @@ class TestOneReadPerInput:
             code, report = run(["info", str(path)])
             assert code == 2
             assert report.verdicts[-1]["value"] == str(err.value)
+
+
+class TestOneReaderAndWriter:
+    def test_read_doc_is_the_document_and_the_digest_of_the_bytes(self, machine_files):
+        path = machine_files["parity-flip"]
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        assert vio.read_doc(path) == (json.loads(raw), hashlib.sha256(raw).hexdigest())
+
+    def test_write_doc_writes_the_canonical_text(self, fix_a, tmp_path):
+        doc = vio.transducer_to_doc(fix_a)
+        vio.write_doc(doc, tmp_path / "m.json")
+        assert (tmp_path / "m.json").read_bytes() == vio.dumps(doc).encode("utf-8")
+
+    def test_the_cli_opens_no_file_itself(self):
+        with open(cli.__file__, encoding="utf-8") as fh:
+            assert "open(" not in fh.read()
+
+
+def _not_utf8(path, tmp_path, name: str) -> str:
+    """A copy of ``path`` whose bytes start with ff fe, which UTF-8 never does."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    out = tmp_path / name
+    out.write_bytes(b"\xff\xfe" + raw)
+    return str(out)
+
+
+class TestNonUtf8InputIsAnInputError:
+    def test_read_doc(self, machine_files, tmp_path):
+        bad = _not_utf8(machine_files["parity-flip"], tmp_path, "m.json")
+        with pytest.raises(StructureError) as err:
+            vio.read_doc(bad)
+        assert str(err.value) == f"{bad}: not UTF-8 text (invalid start byte at byte 0)"
+        with pytest.raises(StructureError, match="not UTF-8 text"):
+            vio.load_transducer(bad)
+
+    @pytest.mark.parametrize("role", ["machine", "trace", "policy"])
+    def test_cli(self, machine_files, tmp_path, role):
+        machine = machine_files["parity-flip"]
+        trace = tmp_path / "h.json"
+        trace.write_text(vio.dumps({"actions": ["1", "1"], "outputs": ["0", "1"]}))
+        policy = tmp_path / "p.json"
+        policy.write_text(vio.dumps({"kind": "weighted", "weights": [0.25, 0.75]}))
+        if role == "machine":
+            bad = _not_utf8(machine, tmp_path, "bad.json")
+            argv = ["info", bad]
+        elif role == "trace":
+            bad = _not_utf8(trace, tmp_path, "bad.json")
+            argv = ["smooth", machine, "--trace", bad]
+        else:
+            bad = _not_utf8(policy, tmp_path, "bad.json")
+            argv = ["sample", machine, "--policy", f"file:{bad}"]
+        code, report = run(argv)
+        assert code == 2
+        assert report.verdicts == [
+            {"name": "error", "value": f"{bad}: not UTF-8 text (invalid start byte at byte 0)"}
+        ]
+        assert bad not in report.inputs
+
+
+class TestPolicyFileDigest:
+    @pytest.mark.parametrize("command", ["sample", "reverse"])
+    def test_the_policy_file_is_an_input(self, machine_files, tmp_path, command):
+        machine = machine_files["parity-flip"]
+        policy = tmp_path / "p.json"
+        policy.write_text(vio.dumps({"kind": "weighted", "weights": [0.25, 0.75]}))
+        code, report = run([command, machine, "--policy", f"file:{policy}"])
+        same = run([command, machine, "--policy", "weighted:0.25,0.75"])[1]
+        assert code == 0
+        assert report.inputs == {
+            machine: hashlib.sha256(Path(machine).read_bytes()).hexdigest(),
+            str(policy): hashlib.sha256(policy.read_bytes()).hexdigest(),
+        }
+        assert (report.parameters, report.verdicts) == (same.parameters, same.verdicts)
+
+    @pytest.mark.parametrize("command", ["sample", "reverse"])
+    @pytest.mark.parametrize("spec", ["uniform", "weighted:0.25,0.75"])
+    def test_other_policies_add_no_input(self, machine_files, command, spec):
+        machine = machine_files["parity-flip"]
+        report = run([command, machine, "--policy", spec])[1]
+        assert list(report.inputs) == [machine]
+        assert report.parameters["policy"] == spec
+
+
+class TestUnknownLabelsNameWhereTheyAre:
+    @pytest.mark.parametrize("key", ["action", "output"])
+    def test_kernel_record(self, machine_files, tmp_path, key):
+        doc = vio.transducer_to_doc(ALL_FIXTURES["parity-flip"]())
+        doc["kernel"][1][key] = "zz"
+        path = tmp_path / "m.json"
+        vio.write_doc(doc, path)
+        expected = f"{path}: kernel[1]: symbol 'zz' not in alphabet ('0', '1')"
+        with pytest.raises(StructureError) as err:
+            vio.load_transducer(path)
+        assert str(err.value) == expected
+        code, report = run(["info", str(path)])
+        assert code == 2
+        assert report.verdicts[-1] == {"name": "error", "value": expected}
+
+    @pytest.mark.parametrize("key, alphabet", [("action", "('0',)"), ("output", "('0', '1')")])
+    def test_generalized_matrix(self, fix_c, key, alphabet):
+        doc = _generalized_doc(fix_c)
+        doc["matrices"][1][key] = "zz"
+        with pytest.raises(StructureError) as err:
+            vio.generalized_from_doc(doc, "g.json")
+        assert str(err.value) == f"g.json: matrices[1]: symbol 'zz' not in alphabet {alphabet}"
+
+    @pytest.mark.parametrize("field", ["actions", "outputs"])
+    def test_smooth_trace(self, machine_files, tmp_path, field):
+        trace = {"actions": ["1", "1"], "outputs": ["0", "1"]}
+        trace[field] = ["1", "zz"]
+        path = tmp_path / "h.json"
+        path.write_text(vio.dumps(trace))
+        code, report = run(["smooth", machine_files["parity-flip"], "--trace", str(path)])
+        assert code == 2
+        assert report.verdicts == [
+            {"name": "error", "value": f"{path}: symbol 'zz' not in alphabet ('0', '1')"}
+        ]
+
+
+class TestNegativeBeliefIsRefused:
+    @pytest.mark.parametrize("command", ["msp", "epsilon"])
+    def test_parity_flip_with_a_negative_start(self, tmp_path, command):
+        # valid within tol 1e-2, but its first belief is no law
+        doc = vio.transducer_to_doc(ALL_FIXTURES["parity-flip"]())
+        doc["initial"] = [1.015, -0.015]
+        path = tmp_path / "m.json"
+        vio.write_doc(doc, path)
+        code, report = run([command, str(path), "--tol", "1e-2", "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert report.verdicts == [{"name": "error", "value": "belief has a negative entry: -0.015"}]
+        assert not (tmp_path / "o.json").exists()
