@@ -26,14 +26,8 @@ from .errors import MspClosureError, StructureError, VatworldError
 from .fixtures import ALL_FIXTURES
 from .linalg_reduce import canonical_dimension, reduce_generalized
 from .minimize import coarsest_bisimulation, quotient
-from .oracle import (
-    equivalent,
-    log_word_probability,
-    memory_class,
-    sample_trajectory,
-    word_probability,
-)
-from .retro import bdmsm_from_word, smooth
+from .oracle import equivalent, memory_class, sample_trajectory
+from .retro import bdmsm_from_word, log_probability, smooth
 from .reverse import check_reversible, is_action_counifilar, reverse_kernel, state_marginals
 
 
@@ -84,6 +78,13 @@ def _load_machine(report: RunReport, path: str, finite: bool = True) -> Transduc
     if finite and not (np.isfinite(t.kernel).all() and np.isfinite(t.initial).all()):
         raise StructureError(f"{path}: {validate(t).violations[0]}")  # the first is non_finite
     return t
+
+
+def _require_start(t: Transducer, path: str) -> None:
+    """Refuse a machine whose initial law has no mass to start from."""
+    mass = float(t.initial.sum())
+    if not mass > 0.0:
+        raise StructureError(f"{path}: initial has no positive mass (it sums to {mass:.12g})")
 
 
 def _parse_policy(report: RunReport, spec: str) -> Policy:
@@ -244,10 +245,16 @@ def _cmd_info(args, report: RunReport) -> int:
 
 def _cmd_prob(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
+    _require_start(t, args.file)
     h = History(_symbols(args.actions), _symbols(args.outputs))
     report.parameters.update({"actions": args.actions, "outputs": args.outputs})
-    report.add("word_probability", float(word_probability(t, h)))
-    report.add("log_probability", log_word_probability(t, h))
+    log_p = log_probability(t, h)
+    try:
+        p = math.exp(log_p)  # 0.0 below about e^-745
+    except OverflowError:  # only a kernel that is not stochastic gets here
+        p = math.inf
+    report.add("word_probability", p)
+    report.add("log_probability", log_p)
     return 0
 
 
@@ -310,6 +317,7 @@ def _cmd_dimension(args, report: RunReport) -> int:
 
 def _cmd_reduce_gt(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
+    _require_start(t, args.file)
     reduced = reduce_generalized(t, args.tol, args.both_sides)
     report.parameters.update({"tol": args.tol, "both_sides": args.both_sides})
     report.add("states_before", t.n)

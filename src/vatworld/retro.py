@@ -9,6 +9,7 @@ of step matrices against a diagonal prior compute it directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,23 +51,108 @@ class BDMSM:
         return self.matrix.shape[0]
 
 
+def _walk(t: Transducer, a_idx, y_idx, start: np.ndarray, step):
+    """Run ``step`` along a word from ``start``, once per distinct edge.
+
+    ``step(row, m, out)`` writes the row after the step matrix ``m`` into
+    ``out`` and returns a value for that edge.  ``m`` is the
+    ``t.kernel[a, y]`` view itself: a kernel need not be C-contiguous, and a
+    contiguous copy can change a product's summation order in the last bit.
+    A row is known by its bytes and an edge by (row id, action, output), so
+    each distinct edge costs one ``step`` and every repeat one dict lookup;
+    on a source whose beliefs repeat (unifilar sources, card decks) a long
+    word visits a few dozen edges.  Returns the distinct rows in order of
+    discovery, as one array; the row id at every time (start first); the
+    value of each distinct edge; and the edge id of every step.
+    """
+    n_y = t.kernel.shape[1]
+    n_letters = t.kernel.shape[0] * n_y
+    buf = start[None].copy()  # the distinct rows; doubled when full
+    known, edges, values, heads = {start.tobytes(): 0}, {}, [], []
+    path, taken = [0], []
+    row_id, fresh = 0, 1
+    for a, y in zip(a_idx, y_idx):
+        key = row_id * n_letters + a * n_y + y
+        edge = edges.get(key)
+        if edge is None:
+            if fresh == len(buf):
+                buf = np.concatenate((buf, np.empty_like(buf)))
+            out = buf[fresh]
+            values.append(step(buf[row_id], t.kernel[a, y], out))
+            nxt = known.setdefault(out.tobytes(), fresh)
+            if nxt == fresh:
+                fresh += 1
+            edge = edges[key] = len(heads)
+            heads.append(nxt)
+        row_id = heads[edge]
+        path.append(row_id)
+        taken.append(edge)
+    return buf[:fresh], path, values, taken
+
+
+def _filter(t: Transducer, h: History, a_idx, y_idx):
+    """The forward sweep of ``smooth``: ``_walk`` over the filtered beliefs.
+
+    Each step's value is its normaliser z, the probability of the step's
+    output given the history before it.  Raises ImpossibleHistoryError on a
+    start of zero mass or a step of probability 0.
+    """
+    mass = t.initial.sum()
+    if mass == 0.0:
+        raise ImpossibleHistoryError(f"history {h} has probability 0")
+
+    def step(prev, m, out):
+        raw = m @ prev
+        z = raw.sum()
+        if z <= 0.0:
+            raise ImpossibleHistoryError(f"history {h} has probability 0")
+        np.divide(raw, z, out=out)
+        return z
+
+    return _walk(t, a_idx, y_idx, t.initial / mass, step)
+
+
+def log_probability(t: Transducer, h: History) -> float:
+    """Natural log of the probability of h's outputs given its actions.
+
+    One forward walk renormalised at every step (Rabiner 1989, section V.A):
+    the log of the start's mass plus the sum of the logs of the step
+    normalisers, so it stays finite however long the history.  Each distinct
+    (belief, letter) edge costs one product, as in ``smooth``.  Returns -inf
+    for an impossible history or a start of no positive mass.
+    """
+    a_idx, y_idx = t.word_indices(h)
+    mass = float(t.initial.sum())
+    if not mass > 0.0:
+        return -math.inf
+    try:
+        _, _, norms, taken = _filter(t, h, a_idx, y_idx)
+    except ImpossibleHistoryError:
+        return -math.inf
+    return math.log(mass) + float(np.log(np.array(norms))[taken].sum())
+
+
 def bdmsm_from_word(t: Transducer, h: History) -> BDMSM:
     """Joint (start, current) posterior from scratch for a whole window.
 
     The time-ordered product of step matrices hits a diagonal matrix of the
     initial distribution; renormalizing after every step keeps long windows
     from underflowing and leaves the posterior at the end.  The empty window
-    returns the diagonal prior itself.
+    returns the diagonal prior itself.  The product runs on ``_walk``: one
+    product per distinct (joint matrix, letter) edge plus one dict lookup per
+    step.
     """
     a_idx, y_idx = t.word_indices(h)
-    mat = np.diag(t.initial / t.initial.sum())
-    for a, y in zip(a_idx, y_idx):
-        mat = t.kernel[a, y] @ mat
-        z = float(mat.sum())
+
+    def step(mat, m, out):
+        np.matmul(m, mat, out=out)
+        z = float(out.sum())
         if z <= 0.0:
             raise ImpossibleHistoryError(f"window {h} has probability 0")
-        mat /= z
-    return BDMSM(mat, h)
+        out /= z
+
+    rows, path, _, _ = _walk(t, a_idx, y_idx, np.diag(t.initial / t.initial.sum()), step)
+    return BDMSM(rows[path[-1]], h)
 
 
 def bdmsm_forward(t: Transducer, rho: BDMSM, action, output) -> BDMSM:
@@ -141,32 +227,22 @@ def smooth(t: Transducer, h: History) -> np.ndarray:
     forward-filtered belief at tau times the likelihood of the history's
     suffix from tau given each state, normalized; the last row is the
     filtered belief itself.  Both sweeps are renormalized at every step
-    (Rabiner 1989, section V.A), so no product underflows on long histories
-    and the cost is linear in the length.  Every row passes the checks of a
-    ``BeliefState``.
+    (Rabiner 1989, section V.A), so no product underflows on long histories.
+    Both run on ``_walk``, so the cost is one product per distinct (belief,
+    letter) edge plus one dict lookup per step, and the rows are gathered
+    once.  Every row passes the checks of a ``BeliefState``.
     """
     a_idx, y_idx = t.word_indices(h)
-    steps = [t.kernel[a, y] for a, y in zip(a_idx, y_idx)]
-    forward = np.empty((len(steps) + 1, t.n))
-    mass = t.initial.sum()
-    if mass == 0.0:
-        raise ImpossibleHistoryError(f"history {h} has probability 0")
-    forward[0] = t.initial / mass
-    for m, prev, row in zip(steps, forward, forward[1:]):
-        raw = m @ prev
-        z = raw.sum()
-        if z <= 0.0:
-            raise ImpossibleHistoryError(f"history {h} has probability 0")
-        np.divide(raw, z, out=row)
+    rows, path, _, _ = _filter(t, h, a_idx, y_idx)
+    post = rows[path]
 
-    likelihood = np.empty((len(steps), t.n))
-    back = np.ones(t.n)
-    for m, row in zip(reversed(steps), likelihood[::-1]):
-        np.matmul(back, m, out=row)
-        back = row / row.sum()
+    def step(likelihood, m, out):
+        np.matmul(likelihood / likelihood.sum(), m, out=out)
 
-    post = forward
-    post[:-1] *= likelihood
+    if h:  # the walk carries raw likelihood rows, last first; the first comes from all ones
+        last = np.ones(t.n) @ t.kernel[a_idx[-1], y_idx[-1]]
+        rows, path, _, _ = _walk(t, a_idx[-2::-1], y_idx[-2::-1], last, step)
+        post[:-1] *= rows[path[::-1]]
     z = post[:-1].sum(axis=1)
     if np.any(z <= 0.0):
         raise ImpossibleHistoryError(f"history {h} has probability 0")

@@ -486,6 +486,21 @@ def reference_smooth(t: Transducer, h: History) -> list[BeliefState]:
     return slices[::-1]
 
 
+def reference_bdmsm(t: Transducer, h: History) -> np.ndarray:
+    """The joint (start, current) sweep of ``retro.bdmsm_from_word`` as it
+    stood before the walk, kept verbatim: one product per step.  The walk
+    must give the same matrix bit for bit."""
+    a_idx, y_idx = t.word_indices(h)
+    mat = np.diag(t.initial / t.initial.sum())
+    for a, y in zip(a_idx, y_idx):
+        mat = t.kernel[a, y] @ mat
+        z = float(mat.sum())
+        if z <= 0.0:
+            raise ImpossibleHistoryError(f"window {h} has probability 0")
+        mat /= z
+    return mat
+
+
 # ---------------------------------------------------------------------------
 # Linear-scan references: greedy grouping, belief dedup, history clustering
 # and record loops

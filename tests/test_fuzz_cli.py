@@ -215,6 +215,19 @@ def test_a_start_of_zero_mass_is_an_input_error(tmp_path, command, message):
     assert report.verdicts == [{"name": "error", "value": message}]
 
 
+@pytest.mark.parametrize("command", ["prob", "reduce-gt"])
+def test_a_start_of_zero_mass_is_refused_by_name(tmp_path, command):
+    doc = vio.transducer_to_doc(ALL_FIXTURES["delay-channel"]())
+    doc["initial"] = [0.0, 0.0]
+    files = {role: str(tmp_path / f"{role}.json") for role in ROLES}
+    files["out"] = str(tmp_path)
+    vio.write_doc(doc, files["machine"])
+    code, report = run(_argv(command, files))
+    assert code == 2
+    message = f"{files['machine']}: initial has no positive mass (it sums to 0)"
+    assert report.verdicts == [{"name": "error", "value": message}]
+
+
 def test_sampling_a_column_of_zero_mass_is_an_input_error(tmp_path):
     doc = vio.transducer_to_doc(ALL_FIXTURES["delay-channel"]())
     del doc["kernel"][1]  # action 1 in state s0 now has no (output, next state) law

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -682,6 +683,29 @@ class TestCli:
         assert names == ["word_probability", "log_probability"]
         p, log_p = (v["value"] for v in report.verdicts)
         assert log_p == pytest.approx(np.log(p), abs=1e-12)
+
+    def test_prob_of_an_impossible_word_from_a_possible_start(self, machine_files):
+        argv = ["prob", machine_files["parity-flip"], "--actions", "1,0", "--outputs", "0,0"]
+        code, report = run(argv)
+        assert code == 0
+        assert report.verdicts == [
+            {"name": "word_probability", "value": 0.0},
+            {"name": "log_probability", "value": -math.inf},
+        ]
+        assert '"value": -Infinity' in report.to_json()
+
+    def test_prob_past_the_float_range_reads_inf(self, tmp_path):
+        # a kernel that is not stochastic can give a word a probability above 1
+        doc = {
+            "name": "doubling", "states": ["s"], "actions": ["a"], "outputs": ["y"], "initial": [1.0],
+            "kernel": [{"from": "s", "action": "a", "output": "y", "to": "s", "prob": 2.0}],
+        }
+        vio.write_doc(doc, tmp_path / "m.json")
+        word = ",".join(["a"] * 1100), ",".join(["y"] * 1100)
+        code, report = run(["prob", str(tmp_path / "m.json"), "--actions", word[0], "--outputs", word[1]])
+        assert code == 0
+        p, log_p = (v["value"] for v in report.verdicts)
+        assert p == math.inf and log_p == pytest.approx(1100 * math.log(2.0))
 
     def test_sample_determinism(self, machine_files):
         argv = ["sample", machine_files["mixture-hmm"], "--length", "20", "--seed", "5"]

@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vatworld.beliefs import BeliefState, predictive_update
-from vatworld.core import Alphabet, History, Policy, Transducer
+from vatworld.core import Alphabet, History, Policy, Transducer, make_card_deck
 from vatworld.errors import ImpossibleHistoryError, SingularDiagonalError, StructureError
 from vatworld.retro import (
     BDMSM,
     bdmsm_forward,
     bdmsm_from_word,
     bdmsm_reverse_extend,
+    log_probability,
     predictive_from_bdmsm,
     retrodictive_from_bdmsm,
     smooth,
 )
-from vatworld.oracle import sample_trajectory
+from vatworld.fixtures import parity_flip
+from vatworld.oracle import log_word_probability, sample_trajectory
 from vatworld.reverse import state_marginals
 
 from conftest import (
@@ -26,6 +28,7 @@ from conftest import (
     random_io_moore,
     random_transducer,
     random_unifilar,
+    reference_bdmsm,
     reference_smooth,
 )
 
@@ -272,6 +275,62 @@ class TestSmooth:
         post = smooth(fix_c, h)
         filtered_start = fix_c.initial / fix_c.initial.sum()
         assert np.abs(post[0] - filtered_start).sum() > 0.1
+
+
+class TestRepeatedBeliefs:
+    """Sources whose beliefs repeat, where most steps of a trace are memo hits."""
+
+    @staticmethod
+    def machine(kind: str, seed: int) -> Transducer:
+        if kind == "unifilar":
+            rng = np.random.default_rng(seed)
+            n, n_a, n_y = (int(rng.integers(1, hi)) for hi in (6, 4, 4))
+            return random_unifilar(rng, n=n, n_actions=n_a, n_outputs=n_y)
+        return {
+            "2r2b": lambda: make_card_deck(2, 2, "flip_shuffle"),
+            "3r3b": lambda: make_card_deck(3, 3, "flip_shuffle"),
+            "parity-flip": parity_flip,
+        }[kind]()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["unifilar", "2r2b", "3r3b", "parity-flip"]),
+        length=st.integers(0, 400),
+    )
+    def test_walks_are_the_per_step_loops(self, seed, kind, length):
+        t = self.machine(kind, seed)
+        actions, outputs, _ = sample_trajectory(t, UNIFORM, length, seed)
+        h = History(actions, outputs)
+        assert np.array_equal(smooth(t, h), [s.weights for s in reference_smooth(t, h)])
+        assert np.array_equal(bdmsm_from_word(t, h).matrix, reference_bdmsm(t, h))
+        assert abs(log_probability(t, h) - log_word_probability(t, h)) <= 1e-9
+
+    @pytest.mark.parametrize("kind", ["2r2b", "3r3b", "parity-flip"])
+    def test_impossible_step_after_memo_hits(self, kind):
+        t = self.machine(kind, 0)
+        actions, outputs, _ = sample_trajectory(t, UNIFORM, 200, seed=1)
+        bad = next(  # the longest sampled prefix with an impossible next letter
+            History(actions[:k], outputs[:k]).extended(a, y)
+            for k in range(200, 0, -1)
+            for a in t.actions.symbols
+            for y in t.outputs.symbols
+            if log_word_probability(t, History(actions[:k], outputs[:k]).extended(a, y)) == -np.inf
+        )
+        assert len(bad) > 50 and len(set(zip(bad.actions, bad.outputs))) < 10  # letters repeat
+        with pytest.raises(ImpossibleHistoryError):
+            smooth(t, bad)
+        with pytest.raises(ImpossibleHistoryError):
+            bdmsm_from_word(t, bad)
+        assert log_probability(t, bad) == -np.inf
+
+
+def test_log_probability_counts_the_start_mass(fix_c):
+    half = Transducer("half", fix_c.states, fix_c.actions, fix_c.outputs, fix_c.kernel, fix_c.initial / 2)
+    actions, outputs, _ = sample_trajectory(fix_c, UNIFORM, 40, seed=2)
+    h = History(actions, outputs)
+    assert log_probability(half, h) == pytest.approx(log_word_probability(half, h), abs=1e-9)
+    assert log_probability(half, h) == pytest.approx(log_probability(fix_c, h) + np.log(0.5), abs=1e-12)
 
 
 def test_bdmsm_constructor_validates():
