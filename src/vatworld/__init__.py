@@ -10,13 +10,10 @@ from .core import (
     Alphabet,
     GeneralizedTransducer,
     History,
-    HistoryTablePolicy,
     MooreClass,
     Policy,
     Transducer,
-    UniformPolicy,
     ValidationReport,
-    WeightedPolicy,
     classify_moore,
     from_pomdp,
     is_input_moore,
@@ -41,13 +38,10 @@ __all__ = [
     "Alphabet",
     "GeneralizedTransducer",
     "History",
-    "HistoryTablePolicy",
     "MooreClass",
     "Policy",
     "Transducer",
-    "UniformPolicy",
     "ValidationReport",
-    "WeightedPolicy",
     "classify_moore",
     "from_pomdp",
     "is_input_moore",

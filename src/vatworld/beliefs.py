@@ -18,24 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, MooreClass, Transducer, classify_moore, validate
+from .core import DEFAULT_TOL, MooreClass, Transducer, _require_laws, classify_moore, validate
 from .errors import ImpossibleHistoryError, MspClosureError, StructureError
 from .minimize import _TolIndex
 from .oracle import equivalent
-
-
-def _require_laws(rows: np.ndarray, tol: float = 1e-8) -> None:
-    """Refuse, as a StructureError, the first row of the 2-d ``rows`` with an
-    entry below -tol (NaN included) or a sum off 1 by more than max(tol, 1e-9)."""
-    negative = ~np.all(rows >= -tol, axis=1)
-    with np.errstate(invalid="ignore"):  # inf - inf comes only with a negative entry
-        sums = rows.sum(axis=1)
-    bad = negative | ~(np.abs(sums - 1.0) <= max(tol, 1e-9))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if negative[i]:
-            raise StructureError(f"belief has a negative entry: {rows[i].min():.3g}")
-        raise StructureError(f"belief weights sum to {sums[i]:.12g}, not 1")
 
 
 @dataclass(frozen=True)
@@ -44,11 +30,11 @@ class BeliefState:
 
     weights: np.ndarray
 
-    def __init__(self, weights, tol: float = 1e-8):
+    def __init__(self, weights):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise StructureError("belief weights must be a non-empty vector")
-        _require_laws(w[None], tol)
+        _require_laws(w[None], 1e-8, lambda _: "belief")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -252,7 +238,7 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
         kernel,
         initial,
     )
-    _require_laws(rows)
+    _require_laws(rows, 1e-8, lambda _: "belief")
     rows.setflags(write=False)
     return BeliefTransducer(machine, rows)
 

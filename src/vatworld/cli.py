@@ -260,6 +260,7 @@ def _cmd_prob(args, report: RunReport) -> int:
 
 def _cmd_sample(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
+    _require_start(t, args.file)
     policy = _parse_policy(report, args.policy)
     try:
         acts, outs, states = sample_trajectory(t, policy, args.length, args.seed)
@@ -318,6 +319,9 @@ def _cmd_dimension(args, report: RunReport) -> int:
 def _cmd_reduce_gt(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
     _require_start(t, args.file)
+    mass = float(t.initial.sum())
+    if not abs(mass - 1.0) <= 1e-8:  # the slack GeneralizedTransducer gives its start v
+        raise StructureError(f"{args.file}: initial sums to {mass:.12g}, not 1")
     reduced = reduce_generalized(t, args.tol, args.both_sides)
     report.parameters.update({"tol": args.tol, "both_sides": args.both_sides})
     report.add("states_before", t.n)
@@ -397,6 +401,7 @@ def _cmd_reverse(args, report: RunReport) -> int:
 
 def _cmd_smooth(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
+    _require_start(t, args.file)
     h = vio.history_from_doc(_read_doc(report, args.trace), where=args.trace)
     try:
         t.word_indices(h)

@@ -149,10 +149,6 @@ class Transducer:
     def n(self) -> int:
         return len(self.states)
 
-    def matrix(self, action, output) -> np.ndarray:
-        """One-step substochastic matrix for the given (action, output) labels."""
-        return self.kernel[self.actions.index(action), self.outputs.index(output)]
-
     def emission_marginals(self) -> np.ndarray:
         """em[a, y, j] = Pr(output y | action a, state j)."""
         return self.kernel.sum(axis=2)
@@ -228,6 +224,25 @@ class GeneralizedTransducer:
         return f"GeneralizedTransducer({self.name!r}, dims={self.dims})"
 
 
+def _require_laws(rows: np.ndarray, tol: float, label) -> None:
+    """Refuse, as a StructureError, the first row of the 2-d ``rows`` with an
+    entry below -tol (NaN included) or a sum off 1 by more than max(tol, 1e-9).
+
+    ``label(i)`` names row i in the message; it is called, never formatted,
+    so a label read from a file may hold any text.
+    """
+    negative = ~np.all(rows >= -tol, axis=1)
+    # a sum that overflows is inf, refused below; inf - inf comes only with a negative entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = rows.sum(axis=1)
+    bad = negative | ~(np.abs(sums - 1.0) <= max(tol, 1e-9))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise StructureError(f"{label(i)} has a negative entry: {rows[i].min():.3g}")
+        raise StructureError(f"{label(i)} sums to {sums[i]:.12g}, not 1")
+
+
 # ---------------------------------------------------------------------------
 # Action policies
 # ---------------------------------------------------------------------------
@@ -239,12 +254,33 @@ class Policy:
     The library never assumes a default statistical law for actions; whenever
     a result depends on how actions are drawn, the policy used is an explicit
     argument and is stamped into the output.  A policy looks the history up in
-    its table (empty for uniform and weighted policies) and draws from its
-    fallback law everywhere else, so only the prefixes of its keys can make
-    the action law depend on the history.
+    its table (empty unless one is given) and draws from its fallback law
+    everywhere else: ``weights``, i.i.d. at every step, or uniform when there
+    are none.  So only the prefixes of its keys can make the action law depend
+    on the history.  A policy takes weights or a table, not both.
     """
 
-    table: Mapping[History, np.ndarray] = MappingProxyType({})
+    def __init__(self, weights=None, table: Mapping[History, Sequence[float]] | None = None):
+        if weights is not None and table is not None:
+            raise StructureError("a policy takes weights or a table, not both")
+        self.weights = None
+        self.table: Mapping[History, np.ndarray] = MappingProxyType({})
+        self._tabled = table is not None  # a table policy, its table empty or not
+        if weights is not None:
+            w = np.asarray(weights, dtype=float)
+            if w.ndim != 1 or w.size == 0:
+                raise StructureError("weights must be a non-empty vector")
+            _require_laws(w[None], 0.0, lambda _: "weighted policy")
+            self.weights = _frozen_array(w)
+        if table is not None:
+            checked: dict[History, np.ndarray] = {}
+            for h, dist in table.items():
+                if not isinstance(h, History):
+                    raise StructureError("table keys must be History instances")
+                arr = np.asarray(dist, dtype=float)
+                _require_laws(arr.reshape(1, -1), 0.0, lambda _: f"table entry for {h}")
+                checked[h] = _frozen_array(arr)
+            self.table = checked
 
     def action_dist(self, history: History, n_actions: int) -> np.ndarray:
         dist = self.table.get(history)
@@ -256,10 +292,23 @@ class Policy:
 
     def fallback(self, n_actions: int) -> np.ndarray:
         """The action law for every history that is not a table key."""
-        raise NotImplementedError
+        if self.weights is None:
+            return np.full(n_actions, 1.0 / n_actions)
+        if n_actions != self.weights.size:
+            raise StructureError(
+                f"policy has {self.weights.size} action weights but the machine has {n_actions}"
+            )
+        return self.weights
 
     def describe(self) -> str:
-        raise NotImplementedError
+        if self.weights is not None:
+            return "weighted:" + ",".join(repr(float(x)) for x in self.weights)
+        if self._tabled:
+            return f"table:{len(self.table)} entries, uniform fallback"
+        return "uniform"
+
+    def __repr__(self):
+        return f"Policy({self.describe()!r})"
 
     def key_prefixes(self) -> frozenset:
         """Every prefix of a table key, the keys included.
@@ -272,78 +321,19 @@ class Policy:
         )
 
     @staticmethod
-    def uniform() -> "UniformPolicy":
-        return UniformPolicy()
+    def uniform() -> "Policy":
+        """Independent uniformly random actions at every step."""
+        return Policy()
 
     @staticmethod
-    def weighted(weights) -> "WeightedPolicy":
-        return WeightedPolicy(weights)
+    def weighted(weights) -> "Policy":
+        """Independent identically distributed actions with fixed weights."""
+        return Policy(weights=weights)
 
     @staticmethod
-    def from_table(table: Mapping[History, Sequence[float]]) -> "HistoryTablePolicy":
-        return HistoryTablePolicy(table)
-
-
-class UniformPolicy(Policy):
-    """Independent uniformly random actions at every step."""
-
-    def fallback(self, n_actions: int) -> np.ndarray:
-        return np.full(n_actions, 1.0 / n_actions)
-
-    def describe(self) -> str:
-        return "uniform"
-
-    def __repr__(self):
-        return "UniformPolicy()"
-
-
-class WeightedPolicy(Policy):
-    """Independent identically distributed actions with fixed weights."""
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise StructureError("weights must be a non-empty vector")
-        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
-            raise StructureError("weights must be a probability distribution")
-        self.weights = _frozen_array(w)
-
-    def fallback(self, n_actions: int) -> np.ndarray:
-        if n_actions != self.weights.size:
-            raise StructureError(
-                f"policy has {self.weights.size} action weights but the machine has {n_actions}"
-            )
-        return self.weights
-
-    def describe(self) -> str:
-        return "weighted:" + ",".join(repr(float(x)) for x in self.weights)
-
-    def __repr__(self):
-        return f"WeightedPolicy({list(map(float, self.weights))})"
-
-
-class HistoryTablePolicy(Policy):
-    """History-keyed action distributions with a uniform fallback."""
-
-    def __init__(self, table: Mapping[History, Sequence[float]]):
-        checked: dict[History, np.ndarray] = {}
-        for h, w in table.items():
-            if not isinstance(h, History):
-                raise StructureError("table keys must be History instances")
-            arr = np.asarray(w, dtype=float)
-            if not (np.all(arr >= 0) and abs(arr.sum() - 1.0) <= 1e-9):
-                raise StructureError(f"table entry for {h} is not a distribution")
-            checked[h] = _frozen_array(arr)
-        self.table = checked
-
-    def fallback(self, n_actions: int) -> np.ndarray:
-        return np.full(n_actions, 1.0 / n_actions)
-
-    def describe(self) -> str:
-        return f"table:{len(self.table)} entries, uniform fallback"
-
-    def __repr__(self):
-        return f"HistoryTablePolicy({len(self.table)} entries)"
+    def from_table(table: Mapping[History, Sequence[float]]) -> "Policy":
+        """History-keyed action distributions with a uniform fallback."""
+        return Policy(table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beliefs import BeliefState
-from .core import DEFAULT_TOL, History, Transducer
+from .core import DEFAULT_TOL, History, Transducer, _require_laws
 from .errors import ImpossibleHistoryError, SingularDiagonalError, StructureError
-
-# BeliefState's default tolerance, applied to every row of a smoothed posterior
-_BELIEF_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,14 +30,11 @@ class BDMSM:
     matrix: np.ndarray
     window: History
 
-    def __init__(self, matrix, window: History, tol: float = 1e-8):
+    def __init__(self, matrix, window: History):
         m = np.asarray(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise StructureError("posterior matrix must be square")
-        if not np.all(m >= -tol):
-            raise StructureError(f"posterior matrix has a negative entry: {m.min():.3g}")
-        if not abs(m.sum() - 1.0) <= tol:
-            raise StructureError(f"posterior matrix sums to {m.sum():.12g}, not 1")
+        _require_laws(m.reshape(1, -1), 1e-8, lambda _: "posterior matrix")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -247,12 +241,6 @@ def smooth(t: Transducer, h: History) -> np.ndarray:
     if np.any(z <= 0.0):
         raise ImpossibleHistoryError(f"history {h} has probability 0")
     post[:-1] /= z[:, None]
-    if not np.all(post >= -_BELIEF_TOL):
-        raise StructureError(f"posterior has a negative entry: {post.min():.3g}")
-    sums = post.sum(axis=1)
-    off = ~(np.abs(sums - 1.0) <= _BELIEF_TOL)
-    if np.any(off):
-        tau = int(np.argmax(off))
-        raise StructureError(f"posterior at {tau} sums to {sums[tau]:.12g}, not 1")
+    _require_laws(post, 1e-8, lambda tau: f"posterior at {tau}")
     post.setflags(write=False)
     return post

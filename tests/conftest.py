@@ -502,6 +502,57 @@ def reference_bdmsm(t: Transducer, h: History) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Law-check references: the five checks that ``core._require_laws`` replaced,
+# kept verbatim; it must accept and refuse exactly the rows they did
+# ---------------------------------------------------------------------------
+
+
+def reference_belief_laws(rows: np.ndarray, tol: float = 1e-8) -> None:
+    """``beliefs._require_laws``: ``BeliefState`` (one row) and ``build_msp``."""
+    negative = ~np.all(rows >= -tol, axis=1)
+    with np.errstate(invalid="ignore"):  # inf - inf comes only with a negative entry
+        sums = rows.sum(axis=1)
+    bad = negative | ~(np.abs(sums - 1.0) <= max(tol, 1e-9))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if negative[i]:
+            raise StructureError(f"belief has a negative entry: {rows[i].min():.3g}")
+        raise StructureError(f"belief weights sum to {sums[i]:.12g}, not 1")
+
+
+def reference_smooth_laws(post: np.ndarray) -> None:
+    """``retro.smooth``'s posterior check, at its ``_BELIEF_TOL`` of 1e-8."""
+    _BELIEF_TOL = 1e-8
+    if not np.all(post >= -_BELIEF_TOL):
+        raise StructureError(f"posterior has a negative entry: {post.min():.3g}")
+    sums = post.sum(axis=1)
+    off = ~(np.abs(sums - 1.0) <= _BELIEF_TOL)
+    if np.any(off):
+        tau = int(np.argmax(off))
+        raise StructureError(f"posterior at {tau} sums to {sums[tau]:.12g}, not 1")
+
+
+def reference_bdmsm_law(m: np.ndarray, tol: float = 1e-8) -> None:
+    """``BDMSM.__init__``'s check of its square matrix."""
+    if not np.all(m >= -tol):
+        raise StructureError(f"posterior matrix has a negative entry: {m.min():.3g}")
+    if not abs(m.sum() - 1.0) <= tol:
+        raise StructureError(f"posterior matrix sums to {m.sum():.12g}, not 1")
+
+
+def reference_weighted_law(w: np.ndarray) -> None:
+    """``WeightedPolicy.__init__``'s check of its weights."""
+    if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):
+        raise StructureError("weights must be a probability distribution")
+
+
+def reference_table_law(h: History, arr: np.ndarray) -> None:
+    """``HistoryTablePolicy.__init__``'s check of one table entry."""
+    if not (np.all(arr >= 0) and abs(arr.sum() - 1.0) <= 1e-9):
+        raise StructureError(f"table entry for {h} is not a distribution")
+
+
+# ---------------------------------------------------------------------------
 # Linear-scan references: greedy grouping, belief dedup, history clustering
 # and record loops
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from vatworld import io as vio
 from vatworld.beliefs import (
     BeliefState,
-    _require_laws,
     build_msp,
     is_faithful,
     is_unifilar,
@@ -17,7 +16,7 @@ from vatworld.beliefs import (
     predictive_update,
     update,
 )
-from vatworld.core import History, Transducer, validate
+from vatworld.core import History, Transducer, _require_laws, validate
 from vatworld.errors import ImpossibleHistoryError, MspClosureError, StructureError
 from vatworld.oracle import equivalent, word_probability
 
@@ -54,6 +53,15 @@ class TestBeliefState:
             BeliefState([0.5, 0.6])
         with pytest.raises(StructureError):
             BeliefState([1.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [([0.5, 0.6], "belief sums to 1.1, not 1"), ([1.5, -0.5], "belief has a negative entry: -0.5")],
+    )
+    def test_refusal_texts(self, weights, message):
+        with pytest.raises(StructureError) as err:
+            BeliefState(weights)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
     def test_nan_weight_is_refused(self, weights):
@@ -94,7 +102,7 @@ class TestBeliefState:
             return None
 
         one_by_one = next(filter(None, (refusal(BeliefState, row) for row in rows)), None)
-        assert refusal(_require_laws, np.array(rows)) == one_by_one
+        assert refusal(_require_laws, np.array(rows), 1e-8, lambda _: "belief") == one_by_one
 
 
 class TestPredictiveUpdate:

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vatworld.beliefs import BeliefState
 from vatworld.core import (
     Alphabet,
     GeneralizedTransducer,
@@ -10,6 +13,7 @@ from vatworld.core import (
     MooreClass,
     Policy,
     Transducer,
+    _require_laws,
     classify_moore,
     from_pomdp,
     is_input_moore,
@@ -20,9 +24,17 @@ from vatworld.core import (
 from vatworld.errors import StructureError
 from vatworld.fixtures import parity_flip
 from vatworld.oracle import word_probability
+from vatworld.retro import BDMSM
 from vatworld.reverse import is_action_counifilar
 
-from conftest import random_transducer
+from conftest import (
+    random_transducer,
+    reference_bdmsm_law,
+    reference_belief_laws,
+    reference_smooth_laws,
+    reference_table_law,
+    reference_weighted_law,
+)
 
 
 class TestAlphabet:
@@ -231,18 +243,123 @@ class TestFromPomdp:
 class TestLawChecksRefuseNan:
     @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
     def test_weighted_policy(self, weights):
-        with pytest.raises(StructureError, match="probability distribution"):
+        with pytest.raises(StructureError, match="weighted policy has a negative entry: nan"):
             Policy.weighted(weights)
 
     @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.nan, np.nan]])
     def test_history_table_policy(self, weights):
-        with pytest.raises(StructureError, match="not a distribution"):
+        with pytest.raises(StructureError, match=r"table entry for History.* has a negative entry: nan"):
             Policy.from_table({History.empty(): weights})
 
     @pytest.mark.parametrize("v", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan]])
     def test_generalized_transducer_v(self, v):
         with pytest.raises(StructureError, match="quasi-distribution"):
             GeneralizedTransducer(2, ["0"], ["0"], np.zeros((1, 1, 2, 2)), np.ones(2), v)
+
+
+# entries and row sums on either side of each law check's thresholds
+_EDGE = [0.0, -0.0, 0.5, 1.0, -1e-9, -5e-9, -1e-8, np.nextafter(-1e-8, 0.0), np.nextafter(-1e-8, -1.0)]
+_EDGE += [-2e-8, np.nan, np.inf, -np.inf]
+_SLACK = [0.0, 1e-9, -1e-9, 1e-8, -1e-8, 2e-9, -2e-9, 0.99e-9, 1.01e-9, 0.99e-8, 1.01e-8, -1.01e-8]
+
+
+@st.composite
+def _law_row(draw, width: int) -> list:
+    """A row whose last entry brings it to 1 plus a slack, or is drawn too."""
+    entry = st.sampled_from(_EDGE) | st.floats(0.0, 1.0)
+    head = draw(st.lists(entry, min_size=width - 1, max_size=width - 1))
+    if draw(st.booleans()):
+        return head + [draw(entry)]
+    return head + [1.0 + draw(st.sampled_from(_SLACK)) - sum(head)]
+
+
+def _refused(check, *args) -> bool:
+    try:
+        check(*args)
+    except StructureError:
+        return True
+    return False
+
+
+class TestOneLawCheck:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data(), width=st.sampled_from([1, 2, 3, 4]))
+    def test_refuses_exactly_the_rows_the_five_checks_refused(self, data, width):
+        rows = np.array(data.draw(st.lists(_law_row(width), min_size=1, max_size=4)))
+        # beliefs (build_msp) and smoothed posteriors check all rows at once, at 1e-8
+        at_once = _refused(_require_laws, rows, 1e-8, str)
+        assert at_once == _refused(reference_belief_laws, rows)
+        assert at_once == _refused(reference_smooth_laws, rows)
+        per_row = [_refused(reference_belief_laws, row[None]) for row in rows]
+        if at_once:  # the row it names is the first one a belief check refuses
+            with pytest.raises(StructureError, match=f"^row {per_row.index(True)} "):
+                _require_laws(rows, 1e-8, lambda i: f"row {i}")
+        empty = History.empty()
+        for row, refused in zip(rows, per_row):
+            assert _refused(BeliefState, row) == refused
+            assert _refused(_require_laws, row[None], 0.0, str) == _refused(reference_weighted_law, row)
+            assert _refused(Policy.weighted, row) == _refused(reference_weighted_law, row)
+            assert _refused(Policy.from_table, {empty: row}) == _refused(reference_table_law, empty, row)
+            if width in (1, 4):  # BDMSM checks its square matrix as one row
+                m = row.reshape(2, 2) if width == 4 else row.reshape(1, 1)
+                assert _refused(BDMSM, m, empty) == _refused(reference_bdmsm_law, m)
+
+
+class TestPolicy:
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.5, -0.5], "weighted policy has a negative entry: -0.5"),
+            ([0.5, 0.6], "weighted policy sums to 1.1, not 1"),
+            ([1e308, 1e308], "weighted policy sums to inf, not 1"),  # and no overflow warning
+        ],
+    )
+    def test_weighted_refusals(self, weights, message):
+        with pytest.raises(StructureError) as err:
+            Policy.weighted(weights)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "dist, fault",
+        [([1.5, -0.5], "has a negative entry: -0.5"), ([0.5, 0.6], "sums to 1.1, not 1")],
+    )
+    def test_table_refusals(self, dist, fault):
+        h = History(["{x}"], ["0"])
+        with pytest.raises(StructureError) as err:
+            Policy.from_table({History.empty(): [0.5, 0.5], h: dist})
+        assert str(err.value) == f"table entry for {h} {fault}"
+
+    def test_weights_and_a_table_at_once_are_refused(self):
+        with pytest.raises(StructureError, match="weights or a table, not both"):
+            Policy([0.5, 0.5], {History.empty(): [0.5, 0.5]})
+        with pytest.raises(StructureError, match="weights or a table, not both"):
+            Policy([0.5, 0.5], {})
+
+    @pytest.mark.parametrize(
+        "policy, text",
+        [
+            (Policy.uniform(), "uniform"),
+            (Policy(), "uniform"),
+            (Policy.weighted([0.25, 0.75]), "weighted:0.25,0.75"),
+            (Policy.weighted([1 / 3, 2 / 3]), "weighted:0.3333333333333333,0.6666666666666666"),
+            (Policy.from_table({}), "table:0 entries, uniform fallback"),
+            (Policy.from_table({History(["0"], ["1"]): [1.0, 0.0]}), "table:1 entries, uniform fallback"),
+        ],
+    )
+    def test_describe_keeps_each_kinds_text(self, policy, text):
+        assert policy.describe() == text
+
+    def test_each_kind_draws_from_its_fallback(self):
+        key = History(["0"], ["1"])
+        table = Policy.from_table({key: [1.0, 0.0]})
+        np.testing.assert_array_equal(Policy.uniform().fallback(4), [0.25] * 4)
+        np.testing.assert_array_equal(Policy.weighted([0.25, 0.75]).fallback(2), [0.25, 0.75])
+        np.testing.assert_array_equal(table.fallback(2), [0.5, 0.5])
+        np.testing.assert_array_equal(table.action_dist(key, 2), [1.0, 0.0])
+        assert table.key_prefixes() == {History.empty(), key}
+        assert Policy.weighted([0.25, 0.75]).key_prefixes() == frozenset()
+        with pytest.raises(StructureError, match="2 action weights but the machine has 3"):
+            Policy.weighted([0.25, 0.75]).fallback(3)
 
 
 class TestCardDeck:

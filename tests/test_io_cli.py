@@ -1235,3 +1235,64 @@ class TestNegativeBeliefIsRefused:
         assert code == 2
         assert report.verdicts == [{"name": "error", "value": "belief has a negative entry: -0.015"}]
         assert not (tmp_path / "o.json").exists()
+
+
+class TestPolicyLawsAtTheCli:
+    @pytest.mark.parametrize("command", ["sample", "reverse"])
+    def test_weights_off_one_exit_two(self, machine_files, command):
+        code, report = run([command, machine_files["parity-flip"], "--policy", "weighted:0.5,0.6"])
+        assert code == 2
+        assert report.verdicts == [{"name": "error", "value": "weighted policy sums to 1.1, not 1"}]
+
+    @pytest.mark.parametrize("command", ["sample", "reverse"])
+    def test_a_table_label_in_braces_is_named_not_formatted(self, machine_files, tmp_path, command):
+        entry = {"actions": ["{x}"], "outputs": ["0"], "dist": [0.5, 0.6]}
+        path = tmp_path / "p.json"
+        vio.write_doc({"kind": "table", "entries": [entry]}, path)
+        code, report = run([command, machine_files["parity-flip"], "--policy", f"file:{path}"])
+        assert code == 2
+        message = "table entry for History(actions=('{x}',), outputs=('0',)) sums to 1.1, not 1"
+        assert report.verdicts == [{"name": "error", "value": message}]
+
+    @pytest.mark.parametrize(
+        "spec, doc, text",
+        [
+            ("uniform", None, "uniform"),
+            ("weighted:0.25,0.75", None, "weighted:0.25,0.75"),
+            ("file", {"kind": "uniform"}, "uniform"),
+            ("file", {"kind": "weighted", "weights": [0.25, 0.75]}, "weighted:0.25,0.75"),
+            ("file", {"kind": "table", "entries": []}, "table:0 entries, uniform fallback"),
+            (
+                "file",
+                {"kind": "table", "entries": [{"actions": ["{x}"], "outputs": ["0"], "dist": [1, 0]}]},
+                "table:1 entries, uniform fallback",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["sample", "reverse"])
+    def test_describe_is_stamped_as_before(self, machine_files, tmp_path, command, spec, doc, text):
+        if doc is not None:
+            vio.write_doc(doc, tmp_path / "p.json")
+            spec = f"file:{tmp_path / 'p.json'}"
+        code, report = run([command, machine_files["parity-flip"], "--policy", spec])
+        assert code == 0
+        assert report.parameters["policy"] == text
+
+
+class TestReduceGtStartMass:
+    def test_a_start_of_partial_mass_is_refused_by_name(self, tmp_path):
+        doc = vio.transducer_to_doc(ALL_FIXTURES["delay-channel"]())
+        doc["initial"] = [0.25, 0.25]
+        path = tmp_path / "m.json"
+        vio.write_doc(doc, path)
+        code, report = run(["reduce-gt", str(path), "--out", str(tmp_path / "gt.json")])
+        assert code == 2
+        assert report.verdicts == [{"name": "error", "value": f"{path}: initial sums to 0.5, not 1"}]
+        assert not (tmp_path / "gt.json").exists()
+
+    def test_a_valid_machine_is_still_reduced(self, machine_files, tmp_path):
+        out = tmp_path / "gt.json"
+        code, report = run(["reduce-gt", machine_files["delay-channel"], "--out", str(out)])
+        assert code == 0
+        reduced = vio.load_generalized(out)
+        assert {"name": "dims_after", "value": reduced.dims} in report.verdicts

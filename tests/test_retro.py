@@ -193,6 +193,15 @@ class TestSmooth:
         with pytest.raises(ImpossibleHistoryError):
             smooth(fix_a, History(("0",), ("1",)))
 
+    def test_a_negative_posterior_is_refused_at_its_time(self):
+        # columns sum to 1, but the step pushes mass below zero: the start is a
+        # law, and the posterior after one step is [1.5, -0.5]
+        kernel = np.array([[[[1.5, 1.5], [-0.5, -0.5]]]])
+        t = Transducer("negative", ["s0", "s1"], ["a"], ["y"], kernel, [0.5, 0.5])
+        with pytest.raises(StructureError) as err:
+            smooth(t, History(["a", "a"], ["y", "y"]))
+        assert str(err.value) == "posterior at 1 has a negative entry: -0.5"
+
     def test_long_sampled_trace_does_not_underflow(self, fix_c):
         # the unscaled products fall below the smallest double near 1100 steps
         actions, outputs, _ = sample_trajectory(fix_c, UNIFORM, 3000, seed=3)
