@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as vio
 from .beliefs import build_msp, is_unifilar
-from .core import History, Policy, Transducer, classify_moore, make_card_deck, validate
+from .core import DEFAULT_TOL, History, Policy, Transducer, classify_moore, make_card_deck, validate
 from .epsilon import epsilon_from_histories, epsilon_transducer
 from .errors import MspClosureError, StructureError, VatworldError
 from .fixtures import ALL_FIXTURES
@@ -81,10 +81,12 @@ def _load_machine(report: RunReport, path: str, finite: bool = True) -> Transduc
 
 
 def _require_start(t: Transducer, path: str) -> None:
-    """Refuse a machine whose initial law has no mass to start from."""
+    """Refuse a machine whose initial law has no mass to start from, or a negative entry."""
     mass = float(t.initial.sum())
     if not mass > 0.0:
         raise StructureError(f"{path}: initial has no positive mass (it sums to {mass:.12g})")
+    if t.initial.min() < 0.0:
+        raise StructureError(f"{path}: initial has a negative entry: {t.initial.min():.12g}")
 
 
 def _parse_policy(report: RunReport, spec: str) -> Policy:
@@ -138,12 +140,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a machine file's probabilistic invariants")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("info", help="memory class, Moore class, and unifilarity")
     p.add_argument("file")
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("prob", help="probability of an output word given an action word")
@@ -161,34 +163,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser("minimize", help="quotient by the coarsest bisimulation")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--out")
 
     p = sub.add_parser("dimension", help="dimension of the history-vector span")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = sub.add_parser(
         "reduce-gt", help="quasi-probabilistic realization (rank-minimal with --both-sides)"
     )
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--both-sides", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("msp", help="machine of reachable Bayesian beliefs")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--max-states", type=int, default=1000)
     p.add_argument("--out")
 
     p = sub.add_parser("epsilon", help="minimal predictive machine")
     p.add_argument("file")
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--max-states", type=int, default=1000)
     p.add_argument("--from-histories", action="store_true")
     p.add_argument("--hist-depth", type=int, default=4)
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--policy", default="uniform")
     p.add_argument("--horizon", type=int, default=4)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p.add_argument("--out", help="path prefix for per-time backward kernel files")
 
     p = sub.add_parser("smooth", help="state posteriors at every time of a trace")

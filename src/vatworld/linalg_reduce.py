@@ -39,10 +39,6 @@ class HistoryMatrix:
     columns: dict
     max_len: Optional[int]
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.stack(list(self.columns.values()), axis=1)
-
     def __len__(self):
         return len(self.columns)
 

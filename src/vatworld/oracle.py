@@ -341,13 +341,24 @@ class MemoryClass(Enum):
     GENERAL = "General"
 
 
-def _is_memoryless(t: Transducer, depth: int, tol: float) -> bool:
-    """Do all word probabilities factor into per-step single-symbol marginals?
+def memory_class(t: Transducer, depth: int = 6, tol: float = DEFAULT_TOL) -> MemoryClass:
+    """Diagnose the interface's memory structure up to a word-length bound.
 
-    The per-step marginal of output y under action a is computed once from a
-    canonical action prefix; the factorization check over every word then
-    also catches any dependence of those marginals on earlier actions.
+    Memoryless: every word up to length depth has the product of per-step
+    single-symbol marginals as its probability.  The marginals come once from
+    a canonical action prefix, so the check also catches any dependence of
+    them on earlier actions.  Fully observable: every history of length 1 to
+    depth - 1 with probability above 1e-12 has the same next-output
+    conditional (for every next action) as the first such history ending in
+    the same (action, output) letter; the first output's law is free.  One
+    walk decides both: it extends a word while a test that still holds needs
+    its children, so it stops once both have failed.  The bound must be at
+    least 1: no word of length 0 can show a dependence, so depth 0 would call
+    every machine memoryless.
     """
+    if depth < 1:
+        raise StructureError(f"depth must be at least 1, got {depth}")
+    budget.check(1, len(t.actions) * len(t.outputs), depth, "memory-class check")
     em = t.emission_marginals()  # [a, y, j]
     tr = t.transition_marginals()  # [a, i, j]
     marg = np.empty((depth, len(t.actions) * len(t.outputs)))
@@ -355,57 +366,24 @@ def _is_memoryless(t: Transducer, depth: int, tol: float) -> bool:
     for step in range(depth):
         marg[step] = (em @ state_dist).reshape(-1)  # flat over (a, y)
         state_dist = tr[0] @ state_dist  # canonical prefix: always action 0
-
-    def expect(words: np.ndarray) -> np.ndarray:
-        return marg[np.arange(words.shape[1]), words].prod(axis=1)
-
-    levels = _word_levels(
-        [t.initial],
-        t.kernel,
-        depth,
-        lambda words, vecs: (vecs.sum(axis=1) > 0.0) | (expect(words) > 0.0),
-    )
-    next(levels)  # nothing to factor at length 0
-    return all(
-        np.all(np.abs(vecs.sum(axis=1) - expect(words)) <= tol) for _, words, vecs in levels
-    )
-
-
-def _is_fully_observable(t: Transducer, depth: int, tol: float) -> bool:
-    """Does the next-output conditional depend only on (last output, last action)?
-
-    The first output's distribution is unconstrained.  For every history with
-    positive probability, the conditional over the next output (for every
-    choice of next action) must agree with the conditional of every other
-    history ending in the same (output, action) pair.
-    """
-    em = t.emission_marginals()  # [a, y, j]
-    reference: dict[int, np.ndarray] = {}
-    levels = _word_levels([t.initial], t.kernel, depth - 1, _positive)
-    next(levels, None)  # the first output's distribution is unconstrained
-    for _, words, vecs in levels:
-        rows = _positive(words, vecs)
-        cond = np.einsum("ayj,rj->ray", em, vecs[rows]) / vecs[rows].sum(axis=1)[:, None, None]
-        last = words[rows, -1]
-        for x in np.unique(last):
-            conds = cond[last == x]
-            ref = reference.setdefault(int(x), conds[0])  # [next action, next output]
-            if np.any(np.abs(conds - ref) > tol):
-                return False
-    return True
-
-
-def memory_class(t: Transducer, depth: int = 6, tol: float = DEFAULT_TOL) -> MemoryClass:
-    """Diagnose the interface's memory structure up to a word-length bound.
-
-    The bound must be at least 1: no word of length 0 can show a dependence,
-    so depth 0 would call every machine memoryless.
-    """
-    if depth < 1:
-        raise StructureError(f"depth must be at least 1, got {depth}")
-    budget.check(1, len(t.actions) * len(t.outputs), depth, "memory-class check")
-    if _is_memoryless(t, depth, tol):
+    memoryless = observable = True
+    reference: dict[int, np.ndarray] = {}  # last letter -> [next action, next output]
+    observed = np.ones(1, dtype=bool)  # the rows the observability test extends
+    for parent, words, vecs in _word_levels([t.initial], t.kernel, depth, lambda w, v: extend):
+        probs = vecs.sum(axis=1)
+        expect = marg[np.arange(words.shape[1]), words].prod(axis=1)
+        rows = observed[parent] & _positive(words, vecs)
+        if words.shape[1]:  # nothing to test at length 0
+            memoryless = memoryless and bool(np.all(np.abs(probs - expect) <= tol))
+            cond = np.einsum("ayj,rj->ray", em, vecs[rows]) / probs[rows, None, None]
+            last = words[rows, -1]
+            for x in np.unique(last) if observable else ():
+                conds = cond[last == x]
+                if np.any(np.abs(conds - reference.setdefault(int(x), conds[0])) > tol):
+                    observable = False
+                    break
+        observed = rows & (observable and words.shape[1] < depth - 1)
+        extend = observed | (memoryless & ((probs > 0.0) | (expect > 0.0)))
+    if memoryless:
         return MemoryClass.MEMORYLESS
-    if _is_fully_observable(t, depth, tol):
-        return MemoryClass.FULLY_OBSERVABLE
-    return MemoryClass.GENERAL
+    return MemoryClass.FULLY_OBSERVABLE if observable else MemoryClass.GENERAL

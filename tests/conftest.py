@@ -19,7 +19,14 @@ from vatworld.epsilon import HistoryClustering
 from vatworld.errors import ImpossibleHistoryError, MspClosureError, StructureError
 from vatworld.fixtures import delay_channel, mixture_hmm, parity_flip, parity_flip_redundant
 from vatworld.minimize import Partition, _emission_signature
-from vatworld.oracle import _history, _positive, _word_levels, equivalent, word_probability
+from vatworld.oracle import (
+    MemoryClass,
+    _history,
+    _positive,
+    _word_levels,
+    equivalent,
+    word_probability,
+)
 from vatworld.reverse import (
     MarginalTable,
     ReversibilityVerdict,
@@ -823,6 +830,74 @@ def walk_check_predictive(
             return False
         reach = succ[last, before]
     return True
+
+
+def _is_memoryless(t: Transducer, depth: int, tol: float) -> bool:
+    """Do all word probabilities factor into per-step single-symbol marginals?
+
+    The per-step marginal of output y under action a is computed once from a
+    canonical action prefix; the factorization check over every word then
+    also catches any dependence of those marginals on earlier actions.
+    """
+    em = t.emission_marginals()  # [a, y, j]
+    tr = t.transition_marginals()  # [a, i, j]
+    marg = np.empty((depth, len(t.actions) * len(t.outputs)))
+    state_dist = t.initial.copy()
+    for step in range(depth):
+        marg[step] = (em @ state_dist).reshape(-1)  # flat over (a, y)
+        state_dist = tr[0] @ state_dist  # canonical prefix: always action 0
+
+    def expect(words: np.ndarray) -> np.ndarray:
+        return marg[np.arange(words.shape[1]), words].prod(axis=1)
+
+    levels = _word_levels(
+        [t.initial],
+        t.kernel,
+        depth,
+        lambda words, vecs: (vecs.sum(axis=1) > 0.0) | (expect(words) > 0.0),
+    )
+    next(levels)  # nothing to factor at length 0
+    return all(
+        np.all(np.abs(vecs.sum(axis=1) - expect(words)) <= tol) for _, words, vecs in levels
+    )
+
+
+def _is_fully_observable(t: Transducer, depth: int, tol: float) -> bool:
+    """Does the next-output conditional depend only on (last output, last action)?
+
+    The first output's distribution is unconstrained.  For every history with
+    positive probability, the conditional over the next output (for every
+    choice of next action) must agree with the conditional of every other
+    history ending in the same (output, action) pair.
+    """
+    em = t.emission_marginals()  # [a, y, j]
+    reference: dict[int, np.ndarray] = {}
+    levels = _word_levels([t.initial], t.kernel, depth - 1, _positive)
+    next(levels, None)  # the first output's distribution is unconstrained
+    for _, words, vecs in levels:
+        rows = _positive(words, vecs)
+        cond = np.einsum("ayj,rj->ray", em, vecs[rows]) / vecs[rows].sum(axis=1)[:, None, None]
+        last = words[rows, -1]
+        for x in np.unique(last):
+            conds = cond[last == x]
+            ref = reference.setdefault(int(x), conds[0])  # [next action, next output]
+            if np.any(np.abs(conds - ref) > tol):
+                return False
+    return True
+
+
+def two_walk_memory_class(t: Transducer, depth: int = 6, tol: float = DEFAULT_TOL) -> MemoryClass:
+    """The memory-class diagnosis as two walks: the memoryless test over every
+    word up to depth, then, if it fails, the fully-observable test from the
+    empty word again over the positive histories up to depth - 1."""
+    if depth < 1:
+        raise StructureError(f"depth must be at least 1, got {depth}")
+    budget.check(1, len(t.actions) * len(t.outputs), depth, "memory-class check")
+    if _is_memoryless(t, depth, tol):
+        return MemoryClass.MEMORYLESS
+    if _is_fully_observable(t, depth, tol):
+        return MemoryClass.FULLY_OBSERVABLE
+    return MemoryClass.GENERAL
 
 
 def loop_is_unifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:

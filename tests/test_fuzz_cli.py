@@ -192,6 +192,18 @@ def test_mutated_documents_exit_with_a_code(setup, role, name, edits, byte_edit,
     assert (code, report.to_json()) == reports[again]
 
 
+def _run_from_start(tmp_path, command: str, initial: list):
+    """Run a command on delay-channel with the given initial law."""
+    doc = vio.transducer_to_doc(ALL_FIXTURES["delay-channel"]())
+    doc["initial"] = initial
+    files = {role: str(tmp_path / f"{role}.json") for role in ROLES}
+    files["out"] = str(tmp_path)
+    vio.write_doc(doc, files["machine"])
+    vio.write_doc({"actions": ["0"], "outputs": ["0"]}, files["trace"])
+    vio.write_doc({"kind": "uniform"}, files["policy"])
+    return run(_argv(command, files))
+
+
 # Found by the mutations above: each ended in a traceback, or in a numpy
 # warning that this suite turns into one.
 @pytest.mark.parametrize(
@@ -201,31 +213,36 @@ def test_mutated_documents_exit_with_a_code(setup, role, name, edits, byte_edit,
     ],
 )
 def test_a_start_of_zero_mass_is_an_input_error(tmp_path, command, message):
-    doc = vio.transducer_to_doc(ALL_FIXTURES["delay-channel"]())
-    doc["initial"] = [0.0, 0.0]
-    files = {role: str(tmp_path / f"{role}.json") for role in ROLES}
-    files["out"] = str(tmp_path)
-    vio.write_doc(doc, files["machine"])
-    vio.write_doc({"actions": ["0"], "outputs": ["0"]}, files["trace"])
-    vio.write_doc({"kind": "uniform"}, files["policy"])
-    code, report = run(_argv(command, files))
+    code, report = _run_from_start(tmp_path, command, [0.0, 0.0])
     assert code == 2
     assert report.verdicts == [{"name": "error", "value": message}]
 
 
-@pytest.mark.parametrize("command", ["prob", "reduce-gt", "sample", "smooth"])
+STARTING = ["prob", "reduce-gt", "sample", "smooth"]  # the commands that run from the start
+
+
+@pytest.mark.parametrize("command", STARTING)
 def test_a_start_of_zero_mass_is_refused_by_name(tmp_path, command):
-    doc = vio.transducer_to_doc(ALL_FIXTURES["delay-channel"]())
-    doc["initial"] = [0.0, 0.0]
-    files = {role: str(tmp_path / f"{role}.json") for role in ROLES}
-    files["out"] = str(tmp_path)
-    vio.write_doc(doc, files["machine"])
-    vio.write_doc({"actions": ["0"], "outputs": ["0"]}, files["trace"])
-    vio.write_doc({"kind": "uniform"}, files["policy"])
-    code, report = run(_argv(command, files))
+    code, report = _run_from_start(tmp_path, command, [0.0, 0.0])
     assert code == 2
-    message = f"{files['machine']}: initial has no positive mass (it sums to 0)"
+    message = f"{tmp_path / 'machine.json'}: initial has no positive mass (it sums to 0)"
     assert report.verdicts == [{"name": "error", "value": message}]
+
+
+@pytest.mark.parametrize("command", STARTING)
+def test_a_start_with_a_negative_entry_is_refused_by_name(tmp_path, command):
+    code, report = _run_from_start(tmp_path, command, [1.5, -0.5])
+    assert code == 2
+    message = f"{tmp_path / 'machine.json'}: initial has a negative entry: -0.5"
+    assert report.verdicts == [{"name": "error", "value": message}]
+    code, _ = _run_from_start(tmp_path, command, [1.0, -0.0])
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["info", "dimension", "minimize", "equivalent", "reverse"])
+def test_structural_commands_read_a_start_with_a_negative_entry(tmp_path, command):
+    code, report = _run_from_start(tmp_path, command, [1.5, -0.5])
+    assert code in (0, 1), report.to_json()
 
 
 def test_sampling_a_column_of_zero_mass_is_an_input_error(tmp_path):

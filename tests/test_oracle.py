@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vatworld import budget
-from vatworld.core import History, Policy, Transducer
+import conftest
+from vatworld import budget, oracle
+from vatworld.core import Alphabet, History, Policy, Transducer
 from vatworld.errors import BudgetExceededError, ImpossibleHistoryError, StructureError
 from vatworld.linalg_reduce import reduce_generalized
 from vatworld.minimize import minimize_bisim
@@ -31,10 +32,14 @@ from vatworld.oracle import (
 )
 
 from conftest import (
+    PROPERTY_KINDS,
+    PROPERTY_TOLS,
     all_histories,
+    delayed_machine,
     lifted_machine,
     path_enum_probability,
     positive_histories,
+    property_machine,
     random_io_moore,
     random_permutation_machine,
     random_rare_machine,
@@ -42,6 +47,7 @@ from conftest import (
     random_unifilar,
     reference_sample_trajectory,
     reference_span_walk,
+    two_walk_memory_class,
 )
 
 
@@ -286,7 +292,7 @@ def _brute_force_first_failure(t1, t2, depth, tol=1e-9):
 
 
 class TestEquivalentAgainstBruteForce:
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(["minimized", "lifted", "reduced", "rerouted", "unrelated"]),
@@ -507,3 +513,80 @@ class TestOracleInvariants:
                     for outs in itertools.product(t.outputs.symbols, repeat=3)
                 )
                 assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def copy_machine(n_actions: int = 3, first: float = 0.3) -> Transducer:
+    """A random first output ("1" with probability first), then that output
+    repeated for ever, whatever the actions: fully observable, not memoryless."""
+    kernel = np.zeros((n_actions, 2, 3, 3))
+    kernel[:, :, 1:, 0] = np.diag([1.0 - first, first])  # start s -> copy c{y}, emitting y
+    for y in range(2):
+        kernel[:, y, 1 + y, 1 + y] = 1.0
+    actions = Alphabet([f"a{k}" for k in range(n_actions)])
+    return Transducer("copy", ["s", "c0", "c1"], actions, Alphabet(["0", "1"]), kernel, [1, 0, 0])
+
+
+class TestOneWalkMemoryClass:
+    """memory_class's one walk against the two walks it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(PROPERTY_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 6),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_same_verdict_as_the_two_walks(self, kind, seed, depth, tol):
+        t = property_machine(kind, seed)
+        assert memory_class(t, depth, tol) is two_walk_memory_class(t, depth, tol)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(PROPERTY_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 4),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_same_verdict_from_a_signed_start(self, kind, seed, depth, tol):
+        # info reads a machine whose initial has negative entries; a child of
+        # a history of probability at most 1e-12 can then be more likely
+        t = property_machine(kind, seed)
+        signed = np.random.default_rng(seed).normal(size=t.n)
+        t = Transducer(t.name, t.states, t.actions, t.outputs, t.kernel, signed / signed.sum())
+        assert memory_class(t, depth, tol) is two_walk_memory_class(t, depth, tol)
+
+    @pytest.mark.parametrize(
+        "t",
+        [delayed_machine(d, split=split) for d in range(1, 6) for split in (False, True)]
+        + [copy_machine(), copy_machine(first=1e-13), copy_machine(n_actions=1)],
+        ids=lambda t: t.name,
+    )
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS)
+    def test_same_verdict_on_delays_and_copies(self, t, tol):
+        for depth in range(1, 7):
+            assert memory_class(t, depth, tol) is two_walk_memory_class(t, depth, tol)
+
+    def test_a_copy_is_fully_observable_and_not_memoryless(self):
+        assert memory_class(copy_machine(), 1) is MemoryClass.MEMORYLESS
+        assert memory_class(copy_machine(), 2) is MemoryClass.FULLY_OBSERVABLE
+
+    @pytest.mark.parametrize("tol", PROPERTY_TOLS)
+    def test_one_walk_yields_no_more_rows(self, monkeypatch, tol):
+        walks: list[int] = []
+
+        def counting(*args, **kwargs):
+            walks.append(0)
+            for level in _word_levels(*args, **kwargs):
+                walks[-1] += len(level[1])
+                yield level
+
+        monkeypatch.setattr(oracle, "_word_levels", counting)
+        monkeypatch.setattr(conftest, "_word_levels", counting)
+        machines = [property_machine(kind, seed) for kind in PROPERTY_KINDS for seed in range(4)]
+        for t in machines + [copy_machine(), delayed_machine(3, split=True)]:
+            for depth in (1, 2, 4):
+                walks.clear()
+                got = memory_class(t, depth, tol)
+                assert len(walks) == 1
+                assert got is two_walk_memory_class(t, depth, tol)
+                assert walks[0] <= sum(walks[1:])
