@@ -117,10 +117,15 @@ def is_unifilar(t: Transducer, tol: float = DEFAULT_TOL) -> bool:
 @dataclass(frozen=True)
 class BeliefTransducer:
     """A machine over deduplicated reachable beliefs; row i of the read-only
-    ``beliefs`` is state i's law over the source's states (``beliefs.T`` is L)."""
+    ``beliefs`` is state i's law over the source's states (``beliefs.T`` is L).
+    ``link_residual`` and ``link_allowance`` are ``_belief_link`` of the source,
+    L and the machine: the largest column L1 norm of T_x L - L B_x, and how far
+    a closure at its tol may leave it."""
 
     machine: Transducer
     beliefs: np.ndarray
+    link_residual: float
+    link_allowance: float
 
     @property
     def n(self) -> int:
@@ -161,7 +166,8 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     mass: tol on a stochastic source.  ``_belief_link`` computes the residual
     and that allowance from one product T_x L; past the allowance by over
     8 (n + k) machine epsilons, a RuntimeError reports a construction bug.
-    Then every belief is checked as a ``BeliefState`` checks its one.
+    Both are kept on the result.  Then every belief is checked as a
+    ``BeliefState`` checks its one.
     """
     if max_states < 1:
         raise StructureError(f"max_states must be at least 1, got {max_states}")
@@ -240,7 +246,7 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     )
     _require_laws(rows, 1e-8, lambda _: "belief")
     rows.setflags(write=False)
-    return BeliefTransducer(machine, rows)
+    return BeliefTransducer(machine, rows, residual, allowance)
 
 
 def is_faithful(msp: BeliefTransducer, t: Transducer, tol: float = DEFAULT_TOL) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import budget
 from .core import DEFAULT_TOL, History, Transducer
-from .beliefs import _belief_link, build_msp, is_unifilar
+from .beliefs import build_msp, is_unifilar
 from .errors import StructureError
 from .minimize import _quotient, _split_by_signature, coarsest_bisimulation
 from .oracle import _history, _positive, _word_levels, equivalent
@@ -51,22 +51,21 @@ def epsilon_transducer(
     1'P = 1' and P e0 is the result's start, telescoping p_t(w) - p_B(w) over
     the letters of w (1'T_... has entries in [0, 1], |B_... e0|_1 <= 1) gives
     |p_eps(w) - p_t(w)| <= |w| (delta_B + delta_q), the ``faithfulness_residual``.
-    ``_belief_link`` gives delta_B and its allowance (tol on a stochastic source),
-    ``_quotient`` delta_q.  B keeps only edges above tol, so a class routes into
-    its leader's class within tol of the leader, and the averaged quotient column
-    within 2 tol of each member: delta_q <= 2 tol.  Past both, or with 1'L off 1',
+    ``build_msp`` carries delta_B and its allowance (tol on a stochastic
+    source) from its one ``_belief_link``, and ``_quotient`` gives delta_q.
+    B keeps only edges above tol, so a class routes into its leader's class
+    within tol of the leader, and the averaged quotient column within 2 tol
+    of each member: delta_q <= 2 tol.  Past both, or with 1'L off 1',
     by over 8 (n + k) machine epsilons, a RuntimeError reports a construction bug.
     """
     msp = build_msp(t, tol, max_states)
     machine, delta_q = _quotient(msp.machine, coarsest_bisimulation(msp.machine, tol), tol)
     if not is_unifilar(machine, tol):
         raise RuntimeError("reduced belief machine lost unifilarity; construction bug")
-    link = msp.beliefs.T
-    residual, allowance = _belief_link(t.kernel, link, msp.machine.kernel, tol)
-    residual += delta_q
-    mass_gap = float(np.abs(link.sum(axis=0) - 1.0).max())
+    residual = msp.link_residual + delta_q
+    mass_gap = float(np.abs(msp.beliefs.sum(axis=1) - 1.0).max())
     rounding = 8 * (t.n + msp.n) * float(np.finfo(float).eps)
-    if not (residual <= allowance + 2 * tol + rounding and mass_gap <= rounding):
+    if not (residual <= msp.link_allowance + 2 * tol + rounding and mass_gap <= rounding):
         msg = f"residual {residual:.3g}, belief mass off by {mass_gap:.3g}"
         raise RuntimeError(f"reduced belief machine is not certified faithful: {msg}")
     return EpsilonMachine(

@@ -177,9 +177,9 @@ def _block_signature(t: Transducer, part: Partition) -> np.ndarray:
     return block.reshape(-1, t.n).T  # [j, (a, y, c)]
 
 
-def _split_by_signature(sig: np.ndarray, tol: float, class_of) -> Partition:
-    """Split each class greedily: in state order, a state joins the first leader
-    of its class within tol (max norm) of its signature, or leads a new class.
+def _leaders(sig: np.ndarray, tol: float, class_of) -> list[int]:
+    """Per state, its leader: in state order, a state joins the first leader of
+    its class within tol (max norm) of its signature, or leads a new class.
 
     A class of one state cannot split, so only the states of larger classes
     are looked up, and a signature repeating an earlier one of its class bit
@@ -197,7 +197,88 @@ def _split_by_signature(sig: np.ndarray, tol: float, class_of) -> Partition:
             index.add(j, key, group, repeat)
         else:
             assign[j] = lead
-    return Partition.from_assignment(assign)
+    return assign
+
+
+def _split_by_signature(sig: np.ndarray, tol: float, class_of) -> Partition:
+    """Split each class greedily around leaders in state order (``_leaders``)."""
+    return Partition.from_assignment(_leaders(sig, tol, class_of))
+
+
+def _successor_table(t: Transducer, em: np.ndarray, tol: float) -> np.ndarray | None:
+    """succ[x, j], the one state letter x leads to from state j (-1 for none),
+    when every (letter, state) column of the kernel holds at most one nonzero
+    entry, every entry is finite and every nonzero one is above tol >= 0;
+    else None.  ``em`` is ``_emission_signature(t)``: a column's sum is its
+    one nonzero entry, bit for bit, so the entries are checked there.  Belief
+    machines and epsilon-machines qualify."""
+    if not tol >= 0.0:
+        return None
+    nonzero = t.kernel.reshape(-1, t.n, t.n) != 0.0  # [x, next, j]
+    count = nonzero.sum(axis=1)
+    if count.max(initial=0) > 1 or not np.all((count == 0) | ((em.T > tol) & (em.T < np.inf))):
+        return None
+    return np.where(count == 1, nonzero.argmax(axis=1), -1)
+
+
+def _refine_on_successors(em: np.ndarray, succ: np.ndarray, tol: float) -> np.ndarray:
+    """Class ids of the coarsest bisimulation of a machine with successor table
+    ``succ`` and emission rows ``em``, as the block-signature refinement finds it.
+
+    A state's block signature is its emission row placed at its successor's
+    class, and every nonzero entry is above tol, so two states are within tol
+    exactly when their emission rows are and, letter by letter, they go to the
+    same class or both have no successor.  Each round sorts the states once by
+    (class, class of each successor, emission row), which groups them by the
+    first two.  A group whose rows all lie within tol of its first member's
+    is one class, as the leader scan would make it; the scan runs on the
+    other groups alone, over the first state of each distinct row, since a
+    state whose row equals an earlier one's goes where that one went.
+    """
+    n_letters, n = succ.shape
+    by_row = np.lexsort(em.T)
+    ranked = em[by_row]
+    keys = np.empty((n_letters + 2, n), dtype=np.intp)  # row id, successor classes, class
+    keys[0, by_row] = np.cumsum(np.concatenate(([0], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    ext = np.zeros(n + 1, dtype=np.intp)
+    ext[n] = -1  # the class of "no successor"
+    cls = ext[:n]
+    count = 1
+    run_start = np.ones(n, dtype=bool)
+    group_start = np.ones(n, dtype=bool)
+    while True:
+        np.take(ext, succ, out=keys[1:-1])
+        keys[-1] = cls
+        order = np.lexsort(keys)  # stable, so each run of equal keys keeps state order
+        ordered = keys[:, order]
+        step = ordered[:, 1:] != ordered[:, :-1]
+        np.any(step[1:], axis=0, out=group_start[1:])
+        np.logical_or(step[0], group_start[1:], out=run_start[1:])
+        group = np.cumsum(group_start) - 1
+        refined = int(group[-1]) + 1
+        heads = np.flatnonzero(run_start)  # the first position of each run of equal rows
+        mixed = [] if len(heads) == refined else np.unique(group[heads[~group_start[heads]]]).tolist()
+        for g in mixed:  # the groups of two or more distinct rows
+            runs = np.flatnonzero(group[heads] == g)
+            sizes = np.diff(np.append(heads, n))[runs]
+            first = order[heads[runs]]
+            visit = np.argsort(first)
+            rows = em[first[visit]]
+            if (np.abs(rows - rows[0]) <= tol).all():
+                continue
+            lead = np.asarray(_leaders(rows, tol, np.zeros(len(rows), dtype=np.intp)))
+            others = np.unique(lead[lead > 0])  # the group's first member keeps id g
+            ids = np.empty(len(runs), dtype=np.intp)
+            ids[visit] = np.where(lead > 0, refined + np.searchsorted(others, lead), g)
+            refined += len(others)
+            lo = heads[runs[0]]
+            group[lo : lo + sizes.sum()] = np.repeat(ids, sizes)
+        if refined == count:
+            return cls
+        cls[order] = group
+        count = refined
+        if count == n:
+            return cls
 
 
 def coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
@@ -207,8 +288,19 @@ def coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
     signatures against the current blocks until no class splits, or until
     every class holds one state.  A split never merges states of different
     classes, so the class count only grows and refinement ends within n rounds.
+
+    Where every (letter, state) column holds at most one nonzero entry, all
+    finite and above tol >= 0 (``_successor_table``: every belief machine
+    and epsilon-machine), a round compares emission rows and successor
+    classes instead of dense block signatures (``_refine_on_successors``).
+    Under that condition the two tests accept the same pairs, so the
+    partition is the dense route's exactly; every other machine takes the
+    dense route.
     """
     em = _emission_signature(t)
+    succ = _successor_table(t, em, tol)
+    if succ is not None:
+        return Partition.from_assignment(_refine_on_successors(em, succ, tol).tolist())
     part = _split_by_signature(em, tol, [0] * t.n)
     while part.n_classes < t.n:
         sig = np.concatenate([em, _block_signature(t, part)], axis=1)
@@ -225,9 +317,17 @@ def _quotient(t: Transducer, part: Partition, tol: float) -> tuple[Transducer, f
 
     Raises PartitionError naming the first member, in class order, whose
     emission or block signature is over tol (max norm) off its leader's.
+
+    A finite machine under a discrete partition is its own quotient, with
+    delta_q 0: there P is the identity, so the block P B_x and its average
+    over one-member classes are B_x bit for bit (a -0.0 entry turns 0.0,
+    as in the products), and no class has two members to check.
     """
     if len(part.class_of) != t.n:
         raise StructureError("partition size does not match the machine")
+    if part.n_classes == t.n and np.isfinite(t.kernel).all() and np.isfinite(t.initial).all():
+        q = Transducer(f"{t.name}/quotient", t.states, t.actions, t.outputs, t.kernel + 0.0, t.initial + 0.0)
+        return q, 0.0
     member = _membership(part)
     block = member @ t.kernel  # [a, y, c, j]: mass from state j into class c
     em_sig = _emission_signature(t)
@@ -260,9 +360,28 @@ def _quotient(t: Transducer, part: Partition, tol: float) -> tuple[Transducer, f
     kernel = block @ weights.T
     gap = kernel[..., list(part.class_of)] - block  # K_x P is K's class column per member
     delta_q = float(np.abs(gap).sum(axis=-2).max(initial=0.0))
-    labels = ["+".join(t.states[s] for s in members) for members in part.classes]
+    labels = _class_labels(t.states, part.classes)
     q = Transducer(f"{t.name}/quotient", labels, t.actions, t.outputs, kernel, member @ t.initial)
     return q, delta_q
+
+
+def _class_labels(states: tuple[str, ...], classes) -> list[str]:
+    """Each class's member labels joined by "+".  Where two of those coincide
+    (states a, b and a+b, with a and b merged), a one-state class keeps its
+    state's label and a joined label already taken gets the first free "#k"
+    suffix, k >= 2."""
+    labels = ["+".join(states[s] for s in members) for members in classes]
+    if len(set(labels)) == len(labels):
+        return labels
+    taken = {label for label, members in zip(labels, classes) if len(members) == 1}
+    for c, members in enumerate(classes):
+        if len(members) > 1:
+            base, k = labels[c], 1
+            while labels[c] in taken:
+                k += 1
+                labels[c] = f"{base}#{k}"
+            taken.add(labels[c])
+    return labels
 
 
 def quotient(t: Transducer, part: Partition, tol: float = DEFAULT_TOL) -> Transducer:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vatworld import budget
-from vatworld.beliefs import BeliefState, BeliefTransducer, is_unifilar
+from vatworld.beliefs import BeliefState, BeliefTransducer, _belief_link, is_unifilar
 from vatworld.core import DEFAULT_TOL, Alphabet, History, Transducer, make_card_deck, validate
 from vatworld.epsilon import HistoryClustering
 from vatworld.errors import ImpossibleHistoryError, MspClosureError, StructureError
@@ -591,6 +591,17 @@ def einsum_block_signature(t: Transducer, part: Partition) -> np.ndarray:
     return block.reshape(-1, n).T  # [j, (a, y, c)]
 
 
+def dense_quotient(t: Transducer, part: Partition) -> Transducer:
+    """The quotient from the dense products alone: the block P B_x, averaged
+    over each class's members, and the class-summed start."""
+    member = np.zeros((part.n_classes, t.n))
+    for ci, members in enumerate(part.classes):
+        member[ci, list(members)] = 1.0
+    kernel = (member @ t.kernel) @ (member / member.sum(axis=1, keepdims=True)).T
+    labels = ["+".join(t.states[s] for s in members) for members in part.classes]
+    return Transducer(f"{t.name}/quotient", labels, t.actions, t.outputs, kernel, member @ t.initial)
+
+
 def dense_quotient_link(q: Transducer, t: Transducer, part: Partition) -> float:
     """The largest column L1 norm of K_x P - P T_x over letters x, with K the
     quotient's kernel and P the dense 0/1 class membership."""
@@ -697,7 +708,7 @@ def scan_build_msp(
         raise RuntimeError("belief machine is not unifilar; this is a construction bug")
     rows = np.array([BeliefState(b).weights for b in beliefs])
     rows.setflags(write=False)
-    return BeliefTransducer(machine, rows)
+    return BeliefTransducer(machine, rows, *_belief_link(t.kernel, rows.T, kernel, tol))
 
 
 def scan_epsilon_from_histories(

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vatworld.beliefs import BeliefTransducer, build_msp, is_unifilar
-from vatworld.core import Alphabet, Transducer, make_card_deck
+from vatworld.beliefs import BeliefTransducer, _belief_link, build_msp, is_unifilar
+from vatworld.core import DEFAULT_TOL, Alphabet, Transducer, make_card_deck
 from vatworld.epsilon import (
     canonical_form,
     check_predictive,
@@ -20,7 +20,7 @@ from vatworld.epsilon import (
     is_isomorphic,
 )
 from vatworld.errors import BudgetExceededError, MspClosureError, StructureError
-from vatworld.minimize import coarsest_bisimulation, minimize_bisim
+from vatworld.minimize import _quotient, coarsest_bisimulation, minimize_bisim
 from vatworld.oracle import equivalent, forward_vector
 
 from conftest import (
@@ -128,19 +128,20 @@ def rounding_allowance(t: Transducer, eps) -> float:
 
 def perturbed_build(part: str, delta: float):
     """build_msp, with the last belief's first weight or the belief machine's
-    largest kernel entry raised by delta."""
+    largest kernel entry raised by delta, carrying the link of what it returns."""
 
-    def build(t, *args):
-        msp = build_msp(t, *args)
+    def build(t, tol, *args):
+        msp = build_msp(t, tol, *args)
+        machine, beliefs = msp.machine, msp.beliefs
         if part == "payload":
-            beliefs = msp.beliefs.copy()
+            beliefs = beliefs.copy()
             beliefs[-1, 0] += delta
-            return BeliefTransducer(msp.machine, beliefs)
-        m = msp.machine
-        kernel = m.kernel.copy()
-        kernel.flat[np.argmax(kernel)] += delta
-        machine = Transducer(m.name, m.states, m.actions, m.outputs, kernel, m.initial)
-        return BeliefTransducer(machine, msp.beliefs)
+        else:
+            kernel = machine.kernel.copy()
+            kernel.flat[np.argmax(kernel)] += delta
+            m = machine
+            machine = Transducer(m.name, m.states, m.actions, m.outputs, kernel, m.initial)
+        return BeliefTransducer(machine, beliefs, *_belief_link(t.kernel, beliefs.T, machine.kernel, tol))
 
     return build
 
@@ -244,6 +245,16 @@ class TestFaithfulnessCertificate:
         assert eps.provenance["faithfulness_residual"] <= 3 * tol + rounding_allowance(t, eps)
         assert equivalent(eps.machine, t, 2 * t.n, max(tol, 1e-8)).equivalent
         assert equivalent(eps.machine, t, tol=max(tol, 1e-8)).equivalent
+
+    @pytest.mark.parametrize("kind, seed", [("deck", 8), ("unifilar", 1), ("dense", 3)])
+    def test_the_belief_link_is_computed_once(self, kind, seed):
+        t = property_machine(kind, seed)
+        with mock.patch("vatworld.beliefs._belief_link", wraps=_belief_link) as link:
+            eps = epsilon_transducer(t)
+        assert link.call_count == 1
+        msp = build_msp(t)
+        delta_q = _quotient(msp.machine, coarsest_bisimulation(msp.machine), DEFAULT_TOL)[1]
+        assert eps.provenance["faithfulness_residual"] == msp.link_residual + delta_q
 
     def test_provenance_reports_the_residual_not_a_depth(self, fix_b):
         eps = epsilon_transducer(fix_b)

@@ -726,6 +726,28 @@ class TestCli:
         reduced = vio.load_transducer(out)
         assert reduced.n == 2
 
+    def test_minimize_keeps_labels_distinct_when_a_joined_label_is_taken(self, tmp_path):
+        # a and b are bisimilar, and joining them as "a+b" repeats the third state's label
+        edges = [("a", "0", "a"), ("b", "0", "b"), ("a+b", "1", "a+b")]
+        doc = {
+            "name": "clash",
+            "states": ["a", "b", "a+b"],
+            "actions": ["go"],
+            "outputs": ["0", "1"],
+            "initial": [1.0, 0.0, 0.0],
+            "kernel": [{"from": j, "action": "go", "output": y, "to": i, "prob": 1.0} for j, y, i in edges],
+        }
+        src, out = tmp_path / "clash.json", tmp_path / "min.json"
+        src.write_text(vio.dumps(doc))
+        code, report = run(["minimize", str(src), "--out", str(out)])
+        assert code == 0, report.verdicts
+        got = {v["name"]: v["value"] for v in report.verdicts}
+        assert got["partition"] == [["a", "b"], ["a+b"]]
+        reduced = vio.load_transducer(out)
+        assert reduced.states == ("a+b#2", "a+b")
+        assert equivalent(reduced, vio.load_transducer(src)).equivalent
+        assert run(["epsilon", str(src)])[0] == 0
+
     def test_dimension_command(self, machine_files):
         code, report = run(["dimension", machine_files["mixture-hmm"]])
         assert code == 0

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vatworld.beliefs import build_msp
-from vatworld.core import Transducer, make_card_deck, validate
+from vatworld.core import DEFAULT_TOL, Transducer, make_card_deck, validate
 from vatworld.epsilon import is_isomorphic
 from vatworld.errors import PartitionError
+from vatworld import io as vio
 from vatworld.minimize import (
     Partition,
     _block_signature,
+    _class_labels,
+    _emission_signature,
     _quotient,
     _split_by_signature,
+    _successor_table,
     _TolIndex,
     coarsest_bisimulation,
     minimize_bisim,
@@ -24,6 +28,7 @@ from vatworld.oracle import equivalent
 from conftest import (
     PROPERTY_KINDS,
     PROPERTY_TOLS,
+    dense_quotient,
     dense_quotient_link,
     einsum_block_signature,
     property_machine,
@@ -304,6 +309,49 @@ class TestRefinementMatchesTheScan:
         for m in machines:
             assert coarsest_bisimulation(m, tol) == scan_coarsest_bisimulation(m, tol)
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-3])
+    @pytest.mark.parametrize("edit", ["emission below tol", "emission at tol", "two entries", "nan", "inf"])
+    def test_machines_at_the_edge_of_the_successor_route(self, edit, tol):
+        # Two copies of the 2R2B belief machine, each state bisimilar to its
+        # copy; one edit to a copy's column leaves the successor route, but not
+        # the dense route's bisimilarity, except for the non-finite entries.
+        beliefs = build_msp(make_card_deck(2, 2, "flip_shuffle")).machine
+        n = beliefs.n
+        kernel = np.zeros((*beliefs.kernel.shape[:2], 2 * n, 2 * n))
+        kernel[:, :, :n, :n] = kernel[:, :, n:, n:] = beliefs.kernel
+        states = [f"{s}{c}" for c in "ab" for s in beliefs.states]
+        start = np.ones(2 * n) / (2 * n)
+        doubled = Transducer("doubled", states, beliefs.actions, beliefs.outputs, kernel, start)
+        flat = kernel.reshape(-1, 2 * n, 2 * n)  # [x, next, j], a view
+        x, j = np.argwhere(flat[:, :, n:].sum(axis=1) == 0.0)[0]  # a copy's column without mass
+        x_edge, i_edge = np.argwhere(flat[:, :, n + j] != 0.0)[0]
+        if edit == "emission below tol":
+            flat[x, n, n + j] = tol / 2
+        elif edit == "emission at tol":
+            flat[x, n, n + j] = tol
+        elif edit == "two entries":
+            half = flat[x_edge, i_edge, n + j] / 2
+            flat[x_edge, i_edge, n + j] = flat[x_edge, i_edge - n, n + j] = half
+        else:
+            flat[x_edge, i_edge, n + j] = np.nan if edit == "nan" else np.inf
+        edited = Transducer("edited", states, beliefs.actions, beliefs.outputs, kernel, start)
+        assert _successor_table(doubled, _emission_signature(doubled), tol) is not None
+        assert _successor_table(edited, _emission_signature(edited), tol) is None
+        with np.errstate(invalid="ignore"):
+            part = coarsest_bisimulation(edited, tol)
+            assert part == scan_coarsest_bisimulation(edited, tol)
+        pairs = coarsest_bisimulation(doubled, tol)
+        assert pairs == scan_coarsest_bisimulation(doubled, tol)
+        assert pairs.classes == tuple((s, n + s) for s in range(n))
+        assert (part == pairs) == (edit not in ("nan", "inf"))
+
+    def test_successor_route_needs_a_tol_of_zero_or_more(self):
+        beliefs = build_msp(make_card_deck(2, 2, "flip_shuffle")).machine
+        assert _successor_table(beliefs, _emission_signature(beliefs), 0.0) is not None
+        for tol in (-1e-9, np.nan):
+            assert _successor_table(beliefs, _emission_signature(beliefs), tol) is None
+            assert coarsest_bisimulation(beliefs, tol) == scan_coarsest_bisimulation(beliefs, tol)
+
     def test_block_signature_is_bit_identical_on_unifilar_machines(self):
         beliefs = build_msp(make_card_deck(3, 3, "flip_shuffle")).machine
         part = coarsest_bisimulation(beliefs)
@@ -325,6 +373,33 @@ class TestQuotient:
         same = quotient(fix_a, Partition.discrete(2))
         np.testing.assert_allclose(same.kernel, fix_a.kernel, atol=1e-12)
         np.testing.assert_allclose(same.initial, fix_a.initial, atol=1e-12)
+
+    def test_discrete_quotient_is_written_as_the_dense_products_wrote_it(self, fix_a, fix_b, fix_c, fix_d):
+        signed = np.array(fix_c.kernel)
+        signed[signed == 0.0] = -0.0
+        machines = [
+            fix_a,
+            fix_b,
+            fix_d,
+            build_msp(make_card_deck(3, 3, "flip_shuffle")).machine,
+            Transducer("signed", fix_c.states, fix_c.actions, fix_c.outputs, signed, [1.0, -0.0, 0.0]),
+            Transducer("one", ["s"], ["a"], ["0", "1"], [[[[-0.0]], [[1.0]]]], [1.0]),
+        ] + [property_machine(kind, seed) for kind in PROPERTY_KINDS for seed in range(4)]
+        for m in machines:
+            part = Partition.discrete(m.n)
+            q, delta_q = _quotient(m, part, DEFAULT_TOL)
+            dense = dense_quotient(m, part)
+            assert vio.dumps(vio.transducer_to_doc(q)) == vio.dumps(vio.transducer_to_doc(dense))
+            assert q.kernel.tobytes() == dense.kernel.tobytes()
+            assert q.initial.tobytes() == dense.initial.tobytes()
+            assert delta_q == dense_quotient_link(dense, m, part) == 0.0
+
+    def test_class_labels_stay_distinct(self):
+        states = ("a", "b+c", "a+b", "c", "d")
+        assert _class_labels(states, tuple((s,) for s in range(5))) == list(states)
+        assert _class_labels(states, ((0, 2), (1,), (3, 4))) == ["a+a+b", "b+c", "c+d"]
+        assert _class_labels(states, ((0, 1), (2, 3), (4,))) == ["a+b+c", "a+b+c#2", "d"]
+        assert _class_labels(("a", "b", "a+b", "a+b#2"), ((0, 1), (2,), (3,))) == ["a+b#3", "a+b", "a+b#2"]
 
     def test_bad_partition_rejected_with_witness(self, fix_b):
         bad = Partition.from_classes([[0, 1], [2]], 3)
