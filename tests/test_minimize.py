@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vatworld import io as vio
 from vatworld.beliefs import build_msp
 from vatworld.core import DEFAULT_TOL, Transducer, make_card_deck, validate
 from vatworld.epsilon import is_isomorphic
 from vatworld.errors import PartitionError
-from vatworld import io as vio
 from vatworld.minimize import (
     Partition,
     _block_signature,
