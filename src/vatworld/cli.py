@@ -89,7 +89,10 @@ def _require_start(t: Transducer, path: str) -> None:
         raise StructureError(f"{path}: initial has a negative entry: {t.initial.min():.12g}")
 
 
-def _parse_policy(report: RunReport, spec: str) -> Policy:
+def _parse_policy(report: RunReport, spec: str, t: Transducer) -> Policy:
+    """The --policy law; a file's table entry is refused, naming the file and
+    the entry, when a label is not in ``t``'s alphabets or its dist is not
+    one weight per action."""
     if spec == "uniform":
         return Policy.uniform()
     if spec.startswith("weighted:"):
@@ -100,7 +103,16 @@ def _parse_policy(report: RunReport, spec: str) -> Policy:
         return Policy.weighted(weights)
     if spec.startswith("file:"):
         path = spec.split(":", 1)[1]
-        return vio.policy_from_doc(_read_doc(report, path), where=path)
+        policy = vio.policy_from_doc(_read_doc(report, path), where=path)
+        for k, (h, dist) in enumerate(policy.table.items()):  # in entry order
+            spot = f"{path}: entries[{k}]"
+            try:
+                t.word_indices(h)
+            except StructureError as exc:
+                raise StructureError(f"{spot}: {exc}") from None
+            if dist.size != len(t.actions):
+                raise StructureError(f"{spot}: dist has {dist.size} weights, the machine has {len(t.actions)} actions")
+        return policy
     raise StructureError(
         f"unknown policy {spec!r}; expected uniform, weighted:<w1,w2,...>, or file:<path>"
     )
@@ -263,7 +275,7 @@ def _cmd_prob(args, report: RunReport) -> int:
 def _cmd_sample(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
     _require_start(t, args.file)
-    policy = _parse_policy(report, args.policy)
+    policy = _parse_policy(report, args.policy, t)
     try:
         acts, outs, states = sample_trajectory(t, policy, args.length, args.seed)
     except ValueError as exc:  # a column or an action law that is not a distribution
@@ -373,7 +385,7 @@ def _cmd_epsilon(args, report: RunReport) -> int:
 
 def _cmd_reverse(args, report: RunReport) -> int:
     t = _load_machine(report, args.file)
-    policy = _parse_policy(report, args.policy)
+    policy = _parse_policy(report, args.policy, t)
     verdict = check_reversible(t, args.horizon, args.tol)
     report.parameters.update(
         {"policy": policy.describe(), "horizon": args.horizon, "tol": args.tol}

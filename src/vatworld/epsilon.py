@@ -59,8 +59,10 @@ def epsilon_transducer(
     by over 8 (n + k) machine epsilons, a RuntimeError reports a construction bug.
     """
     msp = build_msp(t, tol, max_states)
-    machine, delta_q = _quotient(msp.machine, coarsest_bisimulation(msp.machine, tol), tol)
-    if not is_unifilar(machine, tol):
+    part = coarsest_bisimulation(msp.machine, tol)
+    machine, delta_q = _quotient(msp.machine, part, tol)
+    # a discrete partition leaves the belief machine, unifilar by construction
+    if not part.is_discrete() and not is_unifilar(machine, tol):
         raise RuntimeError("reduced belief machine lost unifilarity; construction bug")
     residual = msp.link_residual + delta_q
     mass_gap = float(np.abs(msp.beliefs.sum(axis=1) - 1.0).max())

@@ -3,12 +3,11 @@
 A machine file lists only the nonzero kernel entries as (from, action,
 output, to, prob) records in a fixed sort order; floats are emitted with
 Python's shortest round-tripping repr, so read -> write is byte-identical
-for any file this module wrote.
+for any file this module wrote.  Files in any JSON layout load.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import operator
@@ -254,7 +253,10 @@ def policy_from_doc(doc: dict, where: str = "policy") -> Policy:
                 _require(rec, "actions", list, spot),
                 _require(rec, "outputs", list, spot),
             )
-            table[h] = _require_numbers(rec, "dist", spot)
+            dist = _require_numbers(rec, "dist", spot)
+            if h in table:
+                raise StructureError(f"{spot}: same (actions, outputs) as entries[{list(table).index(h)}]")
+            table[h] = dist
         return Policy.from_table(table)
     raise StructureError(f"{where}: unknown policy kind {kind!r}")
 
@@ -265,95 +267,9 @@ def policy_from_doc(doc: dict, where: str = "policy") -> Policy:
 
 
 def dumps(doc: dict) -> str:
-    """Canonical text form: fixed key order (insertion), two-space indent.
-
-    The text is exactly ``json.dumps(doc, indent=2, ensure_ascii=False)``
-    plus a newline.  ``json`` takes its C encoder only without an indent, so
-    each list or dict holding scalars alone goes through that encoder in one
-    call, with the newline and indent of its items as the item separator,
-    and so does each list of such non-empty lists (a matrix) or dicts
-    (kernel records).  Only the containers above those are walked here.
-    """
-    return _encode(doc, 0) + "\n"
-
-
-# Exact types only: a subclass (numpy's float64, say) is encoded on its own.
-_SCALARS = frozenset((str, int, float, bool, type(None)))
-_LISTS = frozenset((list, tuple))
-
-
-@functools.lru_cache(maxsize=None)
-def _flat_encoder(level: int) -> json.JSONEncoder:
-    """Encoder of a scalar container whose items sit at indent ``level``."""
-    return json.JSONEncoder(ensure_ascii=False, separators=(",\n" + "  " * level, ": "))
-
-
-def _encode(value, level: int) -> str:
-    """``json.dumps(value, indent=2, ensure_ascii=False)`` at nesting ``level``."""
-    is_dict = isinstance(value, dict)
-    if not is_dict and not isinstance(value, (list, tuple)):
-        return _flat_encoder(level).encode(value)
-    if not value:
-        return "{}" if is_dict else "[]"
-    inner = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level
-    if _SCALARS.issuperset(map(type, value.values() if is_dict else value)):
-        text = _flat_encoder(level + 1).encode(value)
-        return text[0] + inner + text[1:-1] + close + text[-1]
-    if is_dict:
-        enc = _flat_encoder(level + 1)
-        body = [_key(enc, k) + ": " + _encode(v, level + 1) for k, v in value.items()]
-        return "{" + inner + ("," + inner).join(body) + close + "}"
-    kinds = set(map(type, value))
-    if _LISTS.issuperset(kinds) and all(map(_is_scalar_row, value)):
-        return "[" + inner + _encode_rows(value, level + 1, "[]") + close + "]"
-    if kinds == {dict} and all(map(_is_scalar_record, value)):
-        return "[" + inner + _encode_rows(value, level + 1, "{}") + close + "]"
-    return "[" + inner + ("," + inner).join([_encode(v, level + 1) for v in value]) + close + "]"
-
-
-def _is_scalar_row(row) -> bool:
-    return bool(row) and _SCALARS.issuperset(map(type, row))
-
-
-def _is_scalar_record(rec: dict) -> bool:
-    return bool(rec) and _SCALARS.issuperset(map(type, rec.values()))
-
-
-# Rows per encoder call: one call holds every encoded scalar of its rows at
-# once, so a long matrix goes through in blocks.
-_ROWS_PER_CALL = 64
-
-
-def _encode_rows(rows, level: int, brackets: str) -> str:
-    """Non-empty scalar lists (``brackets`` "[]") or non-empty dicts of
-    scalars ("{}") at indent ``level``, joined by commas.
-
-    The encoder separates every item, rows included, by the indent of the
-    row items.  Encoded scalars neither end in "]" or "}" nor start with "["
-    or "{", keys are written as strings, and no newline appears inside an
-    encoded string, so "]," + that separator + "[" (or the same with braces)
-    marks exactly the row boundaries, which get the row indent instead.
-    """
-    start, end = brackets
-    cell = "\n" + "  " * (level + 1)
-    row = "\n" + "  " * level
-    enc = _flat_encoder(level + 1)
-    bound = end + "," + cell + start
-    blocks = range(0, len(rows), _ROWS_PER_CALL)
-    text = bound.join([enc.encode(rows[k : k + _ROWS_PER_CALL])[2:-2] for k in blocks])
-    return start + cell + text.replace(bound, row + end + "," + row + start + cell) + row + end
-
-
-def _key(enc: json.JSONEncoder, key) -> str:
-    """A dict key as ``json`` writes it: non-string scalars turn into their
-    JSON text, and every key is quoted."""
-    if not isinstance(key, str):
-        if not isinstance(key, (int, float, type(None))):
-            kind = type(key).__name__
-            raise TypeError(f"keys must be str, int, float, bool or None, not {kind}")
-        key = enc.encode(key)
-    return enc.encode(key)
+    """Canonical text form: ``json.dumps(doc, ensure_ascii=False)`` plus a
+    newline, on one line, keys in insertion order."""
+    return json.dumps(doc, ensure_ascii=False) + "\n"
 
 
 def loads(text: str) -> dict:

@@ -181,6 +181,19 @@ class TestEpsilonTransducer:
         assert eps.n == 11
         assert equivalent(eps.machine, deck, depth=6, tol=1e-9).equivalent
 
+    @pytest.mark.parametrize(
+        "t, calls",
+        [(make_card_deck(2, 2, "flip_shuffle"), 0), (property_machine("unifilar", 3), 1)],
+        ids=["discrete-deck", "two-beliefs-merge"],
+    )
+    def test_unifilarity_is_checked_only_after_a_merge(self, t, calls):
+        # a discrete partition leaves the belief machine, unifilar by construction
+        with mock.patch("vatworld.epsilon.is_unifilar", wraps=is_unifilar) as check:
+            eps = epsilon_transducer(t)
+        assert check.call_count == calls
+        assert eps.n == coarsest_bisimulation(build_msp(t).machine).n_classes
+        assert is_unifilar(eps.machine)
+
     def test_construction_invariants(self, fix_a, fix_b):
         for t in (fix_a, fix_b):
             eps = epsilon_transducer(t)

@@ -311,7 +311,7 @@ _JSON_ROWS = st.lists(
     st.lists(_JSON_SCALARS, max_size=4) | st.tuples(_JSON_SCALARS, _JSON_SCALARS), max_size=5
 )
 # kernel-record-like lists: keys that look like record boundaries, non-string
-# keys, empty records, and lists longer than one encoder call
+# keys, empty records, and long lists
 _JSON_KEYS = st.text(max_size=4) | st.sampled_from(["", "}", "{", "},\n    {"])
 _JSON_RECORDS = st.lists(
     st.dictionaries(_JSON_KEYS, _JSON_SCALARS, max_size=4)
@@ -321,6 +321,8 @@ _JSON_RECORDS = st.lists(
 
 
 class TestCanonicalText:
+    """``dumps`` is ``json.dumps`` with ``ensure_ascii=False``, on one line."""
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         doc=_JSON_DOCS
@@ -329,7 +331,7 @@ class TestCanonicalText:
         | st.dictionaries(st.text(max_size=2), _JSON_ROWS | _JSON_RECORDS | _JSON_DOCS, max_size=3)
     )
     def test_same_bytes_as_json_dumps(self, doc):
-        assert vio.dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert vio.dumps(doc) == json.dumps(doc, ensure_ascii=False) + "\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -353,14 +355,71 @@ class TestCanonicalText:
         ],
     )
     def test_empty_containers_bare_scalars_and_scalar_keys(self, doc):
-        assert vio.dumps(doc) == json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+        assert vio.dumps(doc) == json.dumps(doc, ensure_ascii=False) + "\n"
 
     def test_unserializable_items_raise_as_json_does(self):
         for doc in ([1, np.int64(2)], {"a": {"b": np.arange(2)}}, {(1, 2): 3}, {"a": [{(1,): 2}]}):
             with pytest.raises(TypeError):
-                json.dumps(doc, indent=2)
+                json.dumps(doc, ensure_ascii=False)
             with pytest.raises(TypeError):
                 vio.dumps(doc)
+
+    def test_a_self_containing_document_raises_as_json_does(self):
+        doc: dict = {"a": [1]}
+        doc["a"].append(doc)
+        with pytest.raises(ValueError, match="Circular reference"):
+            json.dumps(doc, ensure_ascii=False)
+        with pytest.raises(ValueError, match="Circular reference"):
+            vio.dumps(doc)
+
+
+class TestIndentedFilesStillLoad:
+    """A file in the two-space indented layout of earlier versions loads to
+    the same object as its one-line copy, and re-writes to the one-line text."""
+
+    @staticmethod
+    def _old_and_new(tmp_path, doc):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        vio.write_doc(doc, new)
+        assert old.read_bytes() != new.read_bytes()
+        assert vio.dumps(vio.read_doc(old)[0]).encode("utf-8") == new.read_bytes()
+        return old, new
+
+    def test_machine_file(self, tmp_path):
+        old, new = self._old_and_new(tmp_path, vio.transducer_to_doc(make_card_deck(2, 2, "flip_shuffle")))
+        t, same = vio.load_transducer(old), vio.load_transducer(new)
+        assert (t.kernel.tobytes(), t.initial.tobytes()) == (same.kernel.tobytes(), same.initial.tobytes())
+        vio.save_transducer(t, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == new.read_bytes()
+
+    def test_reduced_machine_file(self, tmp_path):
+        g = reduce_generalized(ALL_FIXTURES["mixture-hmm"](), both_sides=True)
+        old, new = self._old_and_new(tmp_path, vio.generalized_to_doc(g))
+        got, same = vio.load_generalized(old), vio.load_generalized(new)
+        for x, y in ((got.matrices, same.matrices), (got.u, same.u), (got.v, same.v)):
+            assert x.tobytes() == y.tobytes()
+        vio.save_generalized(got, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == new.read_bytes()
+
+    def test_history_file(self, tmp_path):
+        h = History(("1", "0", "1"), ("0", "1", "1"))
+        old, new = self._old_and_new(tmp_path, vio.history_to_doc(h))
+        assert vio.load_history(old) == vio.load_history(new) == h
+        vio.write_doc(vio.history_to_doc(vio.load_history(old)), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == new.read_bytes()
+
+    def test_policy_file(self, tmp_path):
+        entries = [
+            {"actions": [], "outputs": [], "dist": [0.25, 0.75]},
+            {"actions": ["1"], "outputs": ["0"], "dist": [1.0, 0.0]},
+        ]
+        old, new = self._old_and_new(tmp_path, {"kind": "table", "entries": entries})
+        got, same = vio.load_policy(old), vio.load_policy(new)
+        assert got.describe() == same.describe() == "table:2 entries, uniform fallback"
+        assert [(h, d.tobytes()) for h, d in got.table.items()] == [
+            (h, d.tobytes()) for h, d in same.table.items()
+        ]
 
 
 _BAD_DIST_ENTRY = {"actions": [], "outputs": [], "dist": ["x", 1]}
@@ -1286,7 +1345,7 @@ class TestPolicyLawsAtTheCli:
             ("file", {"kind": "table", "entries": []}, "table:0 entries, uniform fallback"),
             (
                 "file",
-                {"kind": "table", "entries": [{"actions": ["{x}"], "outputs": ["0"], "dist": [1, 0]}]},
+                {"kind": "table", "entries": [{"actions": ["1"], "outputs": ["0"], "dist": [1, 0]}]},
                 "table:1 entries, uniform fallback",
             ),
         ],
@@ -1299,6 +1358,47 @@ class TestPolicyLawsAtTheCli:
         code, report = run([command, machine_files["parity-flip"], "--policy", spec])
         assert code == 0
         assert report.parameters["policy"] == text
+
+
+class TestPolicyTableEntriesAreChecked:
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (
+                [{"actions": [], "outputs": [], "dist": [1, 0]}, {"actions": [], "outputs": [], "dist": [0, 1]}],
+                "entries[1]: same (actions, outputs) as entries[0]",
+            ),
+            (
+                [{"actions": ["1"], "outputs": ["0"], "dist": [1, 0]}, {"actions": ["nope"], "outputs": ["0"], "dist": [1, 0]}],
+                "entries[1]: symbol 'nope' not in alphabet ('0', '1')",
+            ),
+            (
+                [{"actions": ["1"], "outputs": ["{y}"], "dist": [1, 0]}],
+                "entries[0]: symbol '{y}' not in alphabet ('0', '1')",
+            ),
+            (
+                [{"actions": [], "outputs": [], "dist": [0.5, 0.25, 0.25]}],
+                "entries[0]: dist has 3 weights, the machine has 2 actions",
+            ),
+        ],
+        ids=["repeated-key", "unknown-action", "unknown-output", "wrong-size-dist"],
+    )
+    @pytest.mark.parametrize("command", ["sample", "reverse"])
+    def test_refused_naming_the_file_and_the_entry(self, machine_files, tmp_path, command, entries, message):
+        path = tmp_path / "p.json"
+        vio.write_doc({"kind": "table", "entries": entries}, path)
+        argv = [command, machine_files["parity-flip"], "--policy", f"file:{path}"]
+        code, report = run(argv + (["--out", str(tmp_path / "rev")] if command == "reverse" else []))
+        assert code == 2
+        assert report.verdicts == [{"name": "error", "value": f"{path}: {message}"}]
+        assert report.artifacts == []
+
+    def test_the_library_reads_a_repeated_key_by_entry(self):
+        entry = {"actions": ["1"], "outputs": ["0"], "dist": [1, 0]}
+        doc = {"kind": "table", "entries": [entry, {**entry, "actions": ["0"]}, entry]}
+        with pytest.raises(StructureError) as err:
+            vio.policy_from_doc(doc, "p.json")
+        assert str(err.value) == "p.json: entries[2]: same (actions, outputs) as entries[0]"
 
 
 class TestReduceGtStartMass:
