@@ -90,32 +90,35 @@ def _require_start(t: Transducer, path: str) -> None:
 
 
 def _parse_policy(report: RunReport, spec: str, t: Transducer) -> Policy:
-    """The --policy law; a file's table entry is refused, naming the file and
-    the entry, when a label is not in ``t``'s alphabets or its dist is not
-    one weight per action."""
+    """The --policy law; it is refused, naming the spec or the file (and a
+    table entry), when its weights or an entry's dist are not one weight per
+    action of ``t`` or a table label is not in ``t``'s alphabets."""
     if spec == "uniform":
         return Policy.uniform()
     if spec.startswith("weighted:"):
+        where = f"policy {spec!r}"
         try:
             weights = [float(x) for x in spec.split(":", 1)[1].split(",")]
         except ValueError as exc:
-            raise StructureError(f"policy {spec!r}: {exc}") from exc
-        return Policy.weighted(weights)
-    if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        policy = vio.policy_from_doc(_read_doc(report, path), where=path)
+            raise StructureError(f"{where}: {exc}") from exc
+        policy = Policy.weighted(weights)
+    elif spec.startswith("file:"):
+        where = spec.split(":", 1)[1]
+        policy = vio.policy_from_doc(_read_doc(report, where), where=where)
         for k, (h, dist) in enumerate(policy.table.items()):  # in entry order
-            spot = f"{path}: entries[{k}]"
+            spot = f"{where}: entries[{k}]"
             try:
                 t.word_indices(h)
             except StructureError as exc:
                 raise StructureError(f"{spot}: {exc}") from None
             if dist.size != len(t.actions):
                 raise StructureError(f"{spot}: dist has {dist.size} weights, the machine has {len(t.actions)} actions")
-        return policy
-    raise StructureError(
-        f"unknown policy {spec!r}; expected uniform, weighted:<w1,w2,...>, or file:<path>"
-    )
+    else:
+        raise StructureError(f"unknown policy {spec!r}; expected uniform, weighted:<w1,w2,...>, or file:<path>")
+    weights = policy.weights
+    if weights is not None and weights.size != len(t.actions):
+        raise StructureError(f"{where}: weights has {weights.size} entries, the machine has {len(t.actions)} actions")
+    return policy
 
 
 def _tolerance(text: str) -> float:

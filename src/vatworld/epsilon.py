@@ -158,13 +158,13 @@ def epsilon_from_histories(
     # Cluster histories of length < hist_depth by leader, in history order;
     # each deepest history only joins its nearest representative, testing
     # stabilization and supplying transition targets.
-    part = _split_by_signature(sigs[sig_of[:n_shallow]], tol, [0] * n_shallow)
-    reps = [members[0] for members in part.classes]
+    lead = _split_by_signature(sigs[sig_of[:n_shallow]], tol, np.zeros(n_shallow, dtype=np.intp))
+    reps, shallow_class = np.unique(lead, return_inverse=True)
     dists = np.column_stack(
         [np.abs(sigs - sigs[sig_of[r]]).max(axis=1, initial=0.0) for r in reps]
     )[sig_of[n_shallow:]]
     stabilized = not np.any(dists.min(axis=1) > tol)
-    class_of = np.concatenate([part.class_of, dists.argmin(axis=1)]).astype(np.intp)
+    class_of = np.concatenate([shallow_class, dists.argmin(axis=1)]).astype(np.intp)
     k = len(reps)
     classes: list[list[History]] = [[] for _ in range(k)]
     for h, ci in zip(histories, class_of):

@@ -249,10 +249,11 @@ def policy_from_doc(doc: dict, where: str = "policy") -> Policy:
         table = {}
         for k, rec in enumerate(entries):
             spot = f"{where}: entries[{k}]"
-            h = History(
-                _require(rec, "actions", list, spot),
-                _require(rec, "outputs", list, spot),
-            )
+            acts, outs = _require(rec, "actions", list, spot), _require(rec, "outputs", list, spot)
+            try:
+                h = History(acts, outs)
+            except StructureError as exc:  # unequal lengths
+                raise StructureError(f"{spot}: {exc}") from None
             dist = _require_numbers(rec, "dist", spot)
             if h in table:
                 raise StructureError(f"{spot}: same (actions, outputs) as entries[{list(table).index(h)}]")

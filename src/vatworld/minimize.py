@@ -160,49 +160,59 @@ def _emission_signature(t: Transducer) -> np.ndarray:
     return em.reshape(-1, t.n).T  # [j, (a, y)]
 
 
-def _membership(part: Partition) -> np.ndarray:
-    """member[c, j] = 1 when state j lies in class c."""
-    member = np.zeros((part.n_classes, len(part.class_of)))
-    member[part.class_of, np.arange(len(part.class_of))] = 1.0
-    return member
+def _membership(class_of) -> np.ndarray:
+    """member[c, j] = 1 when state j lies in class c, for class ids 0, 1, ..."""
+    class_of = np.asarray(class_of)
+    return (np.arange(class_of.max() + 1)[:, None] == class_of).astype(float)
 
 
-def _block_signature(t: Transducer, part: Partition) -> np.ndarray:
+def _block_signature(t: Transducer, class_of) -> np.ndarray:
     """sig[j] = flat vector of joint mass into each class per (a, y).
 
     Entry for (a, y, class C) is the probability of emitting y and landing in
     C under action a from state j.
     """
-    block = _membership(part) @ t.kernel  # [a, y, c, j]
+    block = _membership(class_of) @ t.kernel  # [a, y, c, j]
     return block.reshape(-1, t.n).T  # [j, (a, y, c)]
 
 
-def _leaders(sig: np.ndarray, tol: float, class_of) -> list[int]:
-    """Per state, its leader: in state order, a state joins the first leader of
-    its class within tol (max norm) of its signature, or leads a new class.
-
-    A class of one state cannot split, so only the states of larger classes
-    are looked up, and a signature repeating an earlier one of its class bit
-    for bit takes that one's leader (``_TolIndex.first``).
-    """
-    class_of = np.asarray(class_of, dtype=np.intp)
-    multi = np.flatnonzero(np.bincount(class_of)[class_of] > 1)
-    assign = list(range(len(class_of)))
-    rows = sig[multi]
+def _leaders(sig: np.ndarray, tol: float, states: np.ndarray, groups: np.ndarray) -> list[int]:
+    """Per state of ``states`` (ascending), its leader: in state order, a state
+    joins the first leader of its group within tol (max norm) of its row, or
+    leads a new class; a row repeating an earlier one of its group bit for bit
+    takes that one's leader (``_TolIndex.first``)."""
+    rows = sig[states]
     index = _TolIndex(sig.shape[1], tol)
-    groups = class_of[multi].tolist()
-    for j, group, key, repeat in zip(multi.tolist(), groups, index.project(rows), index.repeats(rows)):
+    assign = []
+    for j, group, key, repeat in zip(states.tolist(), groups.tolist(), index.project(rows), index.repeats(rows)):
         lead = index.first(key, lambda k: (np.abs(sig[j] - sig[k]) <= tol).all(), repeat, group)
         if lead is None:
             index.add(j, key, group, repeat)
-        else:
-            assign[j] = lead
+        assign.append(j if lead is None else lead)
     return assign
 
 
-def _split_by_signature(sig: np.ndarray, tol: float, class_of) -> Partition:
-    """Split each class greedily around leaders in state order (``_leaders``)."""
-    return Partition.from_assignment(_leaders(sig, tol, class_of))
+def _split_by_signature(sig: np.ndarray, tol: float, first) -> np.ndarray:
+    """Per state, its leader when each group is split greedily around leaders
+    in state order (``_leaders``); ``first[j]`` is the lowest state of j's group.
+
+    A group whose rows all lie within tol (max norm) of its first member's is
+    one class, as the scan makes it, so the scan runs on the other groups
+    alone; |inf - inf| is nan, so rows with non-finite entries still reach it.
+    Under a nan or negative tol no row, even a zero-width one, is within tol
+    of another: every state leads itself."""
+    first = np.asarray(first, dtype=np.intp)
+    states = np.arange(len(first))
+    if not tol >= 0.0:
+        return states
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and 1e308 - -1e308
+        near = (np.abs(sig - sig[first]) <= tol).all(axis=1) | (first == states)
+    if near.all():
+        return first
+    lead = first.copy()
+    unsettled = np.flatnonzero(np.bincount(first[~near], minlength=len(first))[first])
+    lead[unsettled] = _leaders(sig, tol, unsettled, first[unsettled])
+    return lead
 
 
 def _successor_table(t: Transducer, em: np.ndarray, tol: float) -> np.ndarray | None:
@@ -221,64 +231,14 @@ def _successor_table(t: Transducer, em: np.ndarray, tol: float) -> np.ndarray | 
     return np.where(count == 1, nonzero.argmax(axis=1), -1)
 
 
-def _refine_on_successors(em: np.ndarray, succ: np.ndarray, tol: float) -> np.ndarray:
-    """Class ids of the coarsest bisimulation of a machine with successor table
-    ``succ`` and emission rows ``em``, as the block-signature refinement finds it.
-
-    A state's block signature is its emission row placed at its successor's
-    class, and every nonzero entry is above tol, so two states are within tol
-    exactly when their emission rows are and, letter by letter, they go to the
-    same class or both have no successor.  Each round sorts the states once by
-    (class, class of each successor, emission row), which groups them by the
-    first two.  A group whose rows all lie within tol of its first member's
-    is one class, as the leader scan would make it; the scan runs on the
-    other groups alone, over the first state of each distinct row, since a
-    state whose row equals an earlier one's goes where that one went.
-    """
-    n_letters, n = succ.shape
-    by_row = np.lexsort(em.T)
-    ranked = em[by_row]
-    keys = np.empty((n_letters + 2, n), dtype=np.intp)  # row id, successor classes, class
-    keys[0, by_row] = np.cumsum(np.concatenate(([0], (ranked[1:] != ranked[:-1]).any(axis=1))))
-    ext = np.zeros(n + 1, dtype=np.intp)
-    ext[n] = -1  # the class of "no successor"
-    cls = ext[:n]
-    count = 1
-    run_start = np.ones(n, dtype=bool)
-    group_start = np.ones(n, dtype=bool)
-    while True:
-        np.take(ext, succ, out=keys[1:-1])
-        keys[-1] = cls
-        order = np.lexsort(keys)  # stable, so each run of equal keys keeps state order
-        ordered = keys[:, order]
-        step = ordered[:, 1:] != ordered[:, :-1]
-        np.any(step[1:], axis=0, out=group_start[1:])
-        np.logical_or(step[0], group_start[1:], out=run_start[1:])
-        group = np.cumsum(group_start) - 1
-        refined = int(group[-1]) + 1
-        heads = np.flatnonzero(run_start)  # the first position of each run of equal rows
-        mixed = [] if len(heads) == refined else np.unique(group[heads[~group_start[heads]]]).tolist()
-        for g in mixed:  # the groups of two or more distinct rows
-            runs = np.flatnonzero(group[heads] == g)
-            sizes = np.diff(np.append(heads, n))[runs]
-            first = order[heads[runs]]
-            visit = np.argsort(first)
-            rows = em[first[visit]]
-            if (np.abs(rows - rows[0]) <= tol).all():
-                continue
-            lead = np.asarray(_leaders(rows, tol, np.zeros(len(rows), dtype=np.intp)))
-            others = np.unique(lead[lead > 0])  # the group's first member keeps id g
-            ids = np.empty(len(runs), dtype=np.intp)
-            ids[visit] = np.where(lead > 0, refined + np.searchsorted(others, lead), g)
-            refined += len(others)
-            lo = heads[runs[0]]
-            group[lo : lo + sizes.sum()] = np.repeat(ids, sizes)
-        if refined == count:
-            return cls
-        cls[order] = group
-        count = refined
-        if count == n:
-            return cls
+def _group_firsts(keys: np.ndarray) -> np.ndarray:
+    """Per column j of ``keys``, the first column whose keys equal j's."""
+    order = np.lexsort(keys)  # stable, so each run of equal keys keeps column order
+    ordered = keys[:, order]
+    start = np.concatenate(([True], np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)))
+    first = np.empty_like(order)
+    first[order] = order[start][np.cumsum(start) - 1]
+    return first
 
 
 def coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
@@ -289,26 +249,31 @@ def coarsest_bisimulation(t: Transducer, tol: float = DEFAULT_TOL) -> Partition:
     every class holds one state.  A split never merges states of different
     classes, so the class count only grows and refinement ends within n rounds.
 
-    Where every (letter, state) column holds at most one nonzero entry, all
-    finite and above tol >= 0 (``_successor_table``: every belief machine
-    and epsilon-machine), a round compares emission rows and successor
-    classes instead of dense block signatures (``_refine_on_successors``).
-    Under that condition the two tests accept the same pairs, so the
-    partition is the dense route's exactly; every other machine takes the
-    dense route.
+    Each round is one ``_split_by_signature`` of signature rows within groups:
+    [emission | block] rows within the classes or, where every (letter, state)
+    column holds at most one nonzero entry, all finite and above tol >= 0
+    (``_successor_table``: belief machines and epsilon-machines), emission
+    rows within groups of equal class and equal class of each successor (-1
+    for none).  There a state's block signature is its emission row placed at
+    its successor's class, and every nonzero entry is above tol, so two states
+    are within tol on one route exactly when they are on the other.
     """
     em = _emission_signature(t)
     succ = _successor_table(t, em, tol)
-    if succ is not None:
-        return Partition.from_assignment(_refine_on_successors(em, succ, tol).tolist())
-    part = _split_by_signature(em, tol, [0] * t.n)
-    while part.n_classes < t.n:
-        sig = np.concatenate([em, _block_signature(t, part)], axis=1)
-        refined = _split_by_signature(sig, tol, part.class_of)
-        if refined.n_classes == part.n_classes:
-            return part
-        part = refined
-    return part
+    states = np.arange(t.n)
+    lead = _split_by_signature(em, tol, np.zeros(t.n, dtype=np.intp))
+    count = 0
+    while True:
+        rank = np.cumsum(lead == states) - 1  # a leader leads itself, and only later states
+        class_of = rank[lead]  # classes numbered by leader, as in Partition
+        if rank[-1] + 1 in (count, t.n):
+            return Partition.from_assignment(class_of.tolist())
+        count = rank[-1] + 1
+        if succ is None:
+            lead = _split_by_signature(np.concatenate([em, _block_signature(t, class_of)], axis=1), tol, lead)
+        else:  # groups: equal class of each successor (-1 for none), and equal class
+            keys = np.vstack([np.append(class_of, -1)[succ], class_of])
+            lead = _split_by_signature(em, tol, _group_firsts(keys))
 
 
 def _quotient(t: Transducer, part: Partition, tol: float) -> tuple[Transducer, float]:
@@ -328,7 +293,7 @@ def _quotient(t: Transducer, part: Partition, tol: float) -> tuple[Transducer, f
     if part.n_classes == t.n and np.isfinite(t.kernel).all() and np.isfinite(t.initial).all():
         q = Transducer(f"{t.name}/quotient", t.states, t.actions, t.outputs, t.kernel + 0.0, t.initial + 0.0)
         return q, 0.0
-    member = _membership(part)
+    member = _membership(part.class_of)
     block = member @ t.kernel  # [a, y, c, j]: mass from state j into class c
     em_sig = _emission_signature(t)
     blk_sig = block.reshape(-1, t.n).T  # [j, (a, y, c)]

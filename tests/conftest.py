@@ -566,13 +566,16 @@ def reference_table_law(h: History, arr: np.ndarray) -> None:
 
 
 def scan_group_by_signature(sig: np.ndarray, tol: float) -> Partition:
-    """Greedy leader grouping in state-index order; leaders anchor each class."""
+    """Greedy leader grouping in state-index order; leaders anchor each class.
+
+    The distance is the max norm, 0 for zero-width rows, so under a nan or
+    negative tol no row joins another."""
     n = sig.shape[0]
     leaders: list[int] = []
     assign = [-1] * n
     for j in range(n):
         for ci, lead in enumerate(leaders):
-            if np.all(np.abs(sig[j] - sig[lead]) <= tol):
+            if np.max(np.abs(sig[j] - sig[lead]), initial=0.0) <= tol:
                 assign[j] = ci
                 break
         else:

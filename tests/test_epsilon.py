@@ -333,6 +333,14 @@ class TestEpsilonFromHistories:
         elif not rounding_tie(t, ref, tol):
             assert_same_clustering(got, ref)
 
+    def test_zero_width_signatures_merge_nothing_at_a_nan_tol(self):
+        # future_depth 0 leaves every signature empty; "all of no entries is
+        # within tol" must not merge histories when no distance is within tol
+        t = random_transducer(np.random.default_rng(0), n=1, n_actions=1, n_outputs=1)
+        got = epsilon_from_histories(t, hist_depth=2, future_depth=0, tol=math.nan)
+        assert_same_clustering(got, scan_epsilon_from_histories(t, 2, 0, math.nan))
+        assert [len(members) for members in got.classes] == [2, 1]
+
     def test_deepest_history_joins_the_nearest_representative(self):
         t = chain_machine()
         hc = epsilon_from_histories(t, hist_depth=2, future_depth=1, tol=0.1)

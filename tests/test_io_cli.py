@@ -1360,6 +1360,33 @@ class TestPolicyLawsAtTheCli:
         assert report.parameters["policy"] == text
 
 
+class TestPolicySizesAreCheckedBeforeAnyWork:
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ("weighted:0.2,0.3,0.5", "policy 'weighted:0.2,0.3,0.5': weights has 3 entries, the machine has 2 actions"),
+            ({"kind": "weighted", "weights": [0.2, 0.3, 0.5]}, "weights has 3 entries, the machine has 2 actions"),
+            (
+                {"kind": "table", "entries": [{"actions": ["0"], "outputs": [], "dist": [1, 0]}]},
+                "entries[0]: history needs equally many actions and outputs, got 1 vs 0",
+            ),
+        ],
+        ids=["weighted-spec", "weighted-file", "table-entry"],
+    )
+    @pytest.mark.parametrize("command, out", [("sample", False), ("reverse", False), ("reverse", True)])
+    def test_refused_naming_the_spec_or_the_file(self, machine_files, tmp_path, policy, message, command, out):
+        spec = policy
+        if isinstance(policy, dict):
+            path = tmp_path / "p.json"
+            vio.write_doc(policy, path)
+            spec, message = f"file:{path}", f"{path}: {message}"
+        argv = [command, machine_files["parity-flip"], "--policy", spec]
+        code, report = run(argv + (["--out", str(tmp_path / "rev")] if out else []))
+        assert code == 2
+        assert report.verdicts == [{"name": "error", "value": message}]
+        assert report.artifacts == [] and not list(tmp_path.glob("rev*"))
+
+
 class TestPolicyTableEntriesAreChecked:
     @pytest.mark.parametrize(
         "entries, message",

@@ -215,7 +215,9 @@ class TestRepeatMemo:
             rows = _memo_rows(kind, tol)
             n = len(rows)
             for class_of in ([0] * n, [j % 2 for j in range(n)], [j // 3 for j in range(n)]):
-                assert _split_by_signature(rows, tol, class_of) == _scan_split(rows, tol, class_of)
+                first = [class_of.index(c) for c in class_of]
+                split = Partition.from_assignment(_split_by_signature(rows, tol, first).tolist())
+                assert split == _scan_split(rows, tol, class_of)
 
     def test_a_repeat_takes_the_first_answer_without_a_lookup(self):
         rows = _memo_rows("near-tie chain", 1e-3)
@@ -262,6 +264,44 @@ class TestRepeatMemo:
                 assert coarsest_bisimulation(t, tol) == scan_coarsest_bisimulation(t, tol)
 
 
+def _planted_rows(rng, tol: float, dim: int) -> tuple[np.ndarray, list]:
+    """Rows of 1-5 interleaved groups, each planted settled (every row within
+    tol of its first) or mixed (a lattice of half-tol steps around a base, so
+    near-ties chain), with now and then a nan or infinite entry."""
+    step = tol if 0.0 < tol < np.inf else 1e-3
+    rows, groups = [], []
+    for g in range(int(rng.integers(1, 6))):
+        size = int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            offsets = np.vstack([np.zeros(dim), rng.uniform(-0.5, 0.5, (size - 1, dim))])
+        else:
+            offsets = rng.integers(-3, 4, (size, dim)) / 2
+        rows += list(rng.random(dim) + offsets * step)
+        groups += [g] * size
+    order = rng.permutation(len(rows))
+    rows, groups = np.array(rows).reshape(len(rows), dim)[order], [groups[k] for k in order]
+    if dim and rng.random() < 0.25:
+        rows[rng.integers(len(rows)), rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf])
+    return rows, groups
+
+
+class TestSplitMatchesTheScan:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from(PROPERTY_TOLS + (np.nan, -1e-9, np.inf)),
+        dim=st.integers(0, 4),
+    )
+    def test_split_is_the_scan_split_group_by_group(self, seed, tol, dim):
+        rows, groups = _planted_rows(np.random.default_rng(seed), tol, dim)
+        first = [groups.index(g) for g in groups]
+        with np.errstate(invalid="ignore"):  # inf - inf in the scan
+            lead = _split_by_signature(rows, tol, first)
+            expected = _scan_split(rows, tol, groups)
+        assert Partition.from_assignment(lead.tolist()) == expected
+        assert lead.tolist() == [expected.classes[c][0] for c in expected.class_of]
+
+
 class TestCoarsestBisimulation:
     def test_parity_flip_discrete(self, fix_a):
         assert coarsest_bisimulation(fix_a).classes == ((0,), (1,))
@@ -299,7 +339,7 @@ class TestRefinementMatchesTheScan:
     @given(
         seed=st.integers(0, 2**32 - 1),
         kind=st.sampled_from(PROPERTY_KINDS),
-        tol=st.sampled_from(PROPERTY_TOLS),
+        tol=st.sampled_from(PROPERTY_TOLS + (np.nan, np.inf)),
     )
     def test_partition_is_the_scan_partition(self, seed, kind, tol):
         t = property_machine(kind, seed)
@@ -348,7 +388,7 @@ class TestRefinementMatchesTheScan:
     def test_successor_route_needs_a_tol_of_zero_or_more(self):
         beliefs = build_msp(make_card_deck(2, 2, "flip_shuffle")).machine
         assert _successor_table(beliefs, _emission_signature(beliefs), 0.0) is not None
-        for tol in (-1e-9, np.nan):
+        for tol in (-1e-9, np.nan, np.inf):  # no entry is above an infinite tol
             assert _successor_table(beliefs, _emission_signature(beliefs), tol) is None
             assert coarsest_bisimulation(beliefs, tol) == scan_coarsest_bisimulation(beliefs, tol)
 
@@ -357,7 +397,7 @@ class TestRefinementMatchesTheScan:
         part = coarsest_bisimulation(beliefs)
         for p in (part, Partition.discrete(beliefs.n), Partition.from_assignment([0] * beliefs.n)):
             np.testing.assert_array_equal(
-                _block_signature(beliefs, p), einsum_block_signature(beliefs, p)
+                _block_signature(beliefs, p.class_of), einsum_block_signature(beliefs, p)
             )
 
 
