@@ -11,6 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 import operator
+import os
+import stat
 
 import numpy as np
 
@@ -289,13 +291,26 @@ def read_doc(path) -> tuple[object, str]:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise StructureError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    return loads(text.replace("\r\n", "\n").replace("\r", "\n")), hashlib.sha256(raw).hexdigest()
+    text = text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
+    return loads(text), hashlib.sha256(raw).hexdigest()
 
 
 def write_doc(doc, path) -> None:
-    """Write ``doc``'s canonical text to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+    """Write ``doc``'s canonical text over ``path`` (0o666 less the umask if new), then cut a
+    regular file at its end; inode, links and mode stay, nothing is synced, a failed write empties it."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(dumps(doc).encode("utf-8"))
+        while view:
+            view = view[os.write(fd, view) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except BaseException:
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def save_transducer(t: Transducer, path) -> None:

@@ -177,17 +177,14 @@ def _block_signature(t: Transducer, class_of) -> np.ndarray:
 
 
 def _leaders(sig: np.ndarray, tol: float, states: np.ndarray, groups: np.ndarray) -> list[int]:
-    """Per state of ``states`` (ascending), its leader: in state order, a state
-    joins the first leader of its group within tol (max norm) of its row, or
-    leads a new class; a row repeating an earlier one of its group bit for bit
-    takes that one's leader (``_TolIndex.first``)."""
-    rows = sig[states]
+    """Per state of ``states`` (ascending), its leader: in state order, the first
+    leader of its group within tol (max norm) of its row, or the state itself."""
     index = _TolIndex(sig.shape[1], tol)
     assign = []
-    for j, group, key, repeat in zip(states.tolist(), groups.tolist(), index.project(rows), index.repeats(rows)):
-        lead = index.first(key, lambda k: (np.abs(sig[j] - sig[k]) <= tol).all(), repeat, group)
+    for j, group, key in zip(states.tolist(), groups.tolist(), index.project(sig[states])):
+        lead = index.first(key, lambda k: (np.abs(sig[j] - sig[k]) <= tol).all(), group=group)
         if lead is None:
-            index.add(j, key, group, repeat)
+            index.add(j, key, group)
         assign.append(j if lead is None else lead)
     return assign
 
@@ -198,7 +195,8 @@ def _split_by_signature(sig: np.ndarray, tol: float, first) -> np.ndarray:
 
     A group whose rows all lie within tol (max norm) of its first member's is
     one class, as the scan makes it, so the scan runs on the other groups
-    alone; |inf - inf| is nan, so rows with non-finite entries still reach it.
+    alone, on the first state of each finite (group, row bytes): a repeat takes
+    its leader, as leaders ascend and a finite row is within tol >= 0 of itself.
     Under a nan or negative tol no row, even a zero-width one, is within tol
     of another: every state leads itself."""
     first = np.asarray(first, dtype=np.intp)
@@ -211,7 +209,14 @@ def _split_by_signature(sig: np.ndarray, tol: float, first) -> np.ndarray:
         return first
     lead = first.copy()
     unsettled = np.flatnonzero(np.bincount(first[~near], minlength=len(first))[first])
-    lead[unsettled] = _leaders(sig, tol, unsettled, first[unsettled])
+    rows, groups = sig[unsettled], first[unsettled].tolist()  # each row has a column: zero-width rows are near
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    finite = np.isfinite(rows).all(axis=1).tolist()
+    firsts: dict = {}  # (group, row bytes) of a finite row, else its state -> the first state
+    copy = [firsts.setdefault((g, k) if ok else j, j) for j, g, k, ok in zip(unsettled.tolist(), groups, keys, finite)]
+    scanned = np.fromiter(firsts.values(), np.intp)
+    lead[scanned] = _leaders(sig, tol, scanned, first[scanned])
+    lead[unsettled] = lead[copy]
     return lead
 
 

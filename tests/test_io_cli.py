@@ -1,10 +1,12 @@
 """File formats, round-trip stability, CLI exit codes, and determinism."""
 
 import copy
+import errno
 import hashlib
 import json
 import math
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -1200,6 +1202,90 @@ class TestOneReaderAndWriter:
     def test_the_cli_opens_no_file_itself(self):
         with open(cli.__file__, encoding="utf-8") as fh:
             assert "open(" not in fh.read()
+
+
+class TestWriteInPlace:
+    """write_doc writes over an existing file and cuts it where the text ends:
+    the bytes are a fresh write's, and the path keeps open(path, "w")'s meaning."""
+
+    def _fresh(self, doc, tmp_path) -> bytes:
+        vio.write_doc(doc, tmp_path / "fresh.json")
+        return (tmp_path / "fresh.json").read_bytes()
+
+    def test_shorter_and_longer_rewrites_give_a_fresh_writes_bytes(self, fix_a, tmp_path):
+        small = vio.transducer_to_doc(fix_a)
+        large = vio.transducer_to_doc(make_card_deck(2, 2, "flip_shuffle"))
+        path = tmp_path / "out.json"
+        for doc in (large, small, large, large):
+            vio.write_doc(doc, path)
+            assert path.read_bytes() == self._fresh(doc, tmp_path)
+
+    def test_the_cli_cuts_a_longer_file(self, machine_files, tmp_path):
+        out = tmp_path / "over.json"
+        out.write_bytes(Path(machine_files["card-deck-2r2b-flip-shuffle"]).read_bytes())
+        fresh = tmp_path / "small.json"
+        for path in (fresh, out):
+            assert run(["minimize", machine_files["parity-flip-redundant"], "--out", str(path)])[0] == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_a_hard_link_sees_the_new_bytes_and_inode_and_mode_stay(self, fix_a, fix_c, tmp_path):
+        path, link = tmp_path / "out.json", tmp_path / "link.json"
+        vio.write_doc(vio.transducer_to_doc(fix_c), path)
+        os.chmod(path, 0o640)
+        os.link(path, link)
+        before = os.stat(path)
+        vio.write_doc(vio.transducer_to_doc(fix_a), path)
+        after = os.stat(path)
+        assert link.read_bytes() == path.read_bytes() == self._fresh(vio.transducer_to_doc(fix_a), tmp_path)
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert stat.S_IMODE(after.st_mode) == 0o640
+
+    def test_a_symlinked_out_writes_through_to_its_target(self, machine_files, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old and longer than nothing\n" * 100)
+        link.symlink_to(target)
+        assert run(["minimize", machine_files["parity-flip-redundant"], "--out", str(link)])[0] == 0
+        assert link.is_symlink()
+        assert vio.load_transducer(target).n == 2
+
+    def test_out_to_the_null_device_exits_zero(self, machine_files):
+        assert run(["msp", machine_files["parity-flip"], "--out", os.devnull])[0] == 0
+
+    @pytest.mark.parametrize("where", ["directory", "missing directory"])
+    def test_an_unwritable_out_exits_2_with_the_os_error_text(self, machine_files, tmp_path, where):
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "out.json"
+        with pytest.raises(OSError) as err:
+            open(out, "w")
+        code, report = run(["msp", machine_files["parity-flip"], "--out", str(out)])
+        assert code == 2
+        assert report.verdicts[-1] == {"name": "error", "value": str(err.value)}
+
+    def test_a_write_that_raises_part_way_leaves_an_empty_file(self, machine_files, tmp_path, monkeypatch):
+        out = tmp_path / "out.json"
+        out.write_bytes(Path(machine_files["card-deck-2r2b-flip-shuffle"]).read_bytes())
+        real_write, calls = os.write, []
+
+        def half_then_full_disk(fd, data):
+            calls.append(len(data))
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_write(fd, data[: len(data) // 2])
+
+        monkeypatch.setattr(os, "write", half_then_full_disk)
+        code, report = run(["minimize", machine_files["parity-flip-redundant"], "--out", str(out)])
+        monkeypatch.undo()
+        assert code == 2
+        assert len(calls) == 2
+        assert report.verdicts[-1]["value"] == str(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        assert out.read_bytes() == b""
+
+    def test_a_new_file_gets_0o666_less_the_umask(self, fix_a, tmp_path):
+        old = os.umask(0o002)
+        try:
+            vio.write_doc(vio.transducer_to_doc(fix_a), tmp_path / "new.json")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode) == 0o666 & ~0o002
 
 
 def _not_utf8(path, tmp_path, name: str) -> str:

@@ -267,7 +267,9 @@ class TestRepeatMemo:
 def _planted_rows(rng, tol: float, dim: int) -> tuple[np.ndarray, list]:
     """Rows of 1-5 interleaved groups, each planted settled (every row within
     tol of its first) or mixed (a lattice of half-tol steps around a base, so
-    near-ties chain), with now and then a nan or infinite entry."""
+    near-ties chain), with now and then a nan or infinite entry, and now and
+    then exact copies of earlier rows: of an infinite one, of a -0.0/0.0
+    twin, and one placed in another group."""
     step = tol if 0.0 < tol < np.inf else 1e-3
     rows, groups = [], []
     for g in range(int(rng.integers(1, 6))):
@@ -282,6 +284,18 @@ def _planted_rows(rng, tol: float, dim: int) -> tuple[np.ndarray, list]:
     rows, groups = np.array(rows).reshape(len(rows), dim)[order], [groups[k] for k in order]
     if dim and rng.random() < 0.25:
         rows[rng.integers(len(rows)), rng.integers(dim)] = rng.choice([np.nan, np.inf, -np.inf])
+    if dim and rng.random() < 0.5:
+        picks = rng.integers(len(rows), size=int(rng.integers(1, 5)))
+        if rng.random() < 0.5:
+            rows[picks[-1], rng.integers(dim)] = np.inf
+        copies, copy_groups = rows[picks], [groups[k] for k in picks]
+        if rng.random() < 0.5:  # the first pick and its copy differ in the sign of a zero
+            col = rng.integers(dim)
+            rows[picks[0], col], copies[0, col] = -0.0, 0.0
+        if rng.random() < 0.5:
+            copy_groups[0] = groups[rng.integers(len(groups))]
+        order = rng.permutation(len(rows) + len(copies))
+        rows, groups = np.vstack([rows, copies])[order], [(groups + copy_groups)[k] for k in order]
     return rows, groups
 
 
