@@ -107,7 +107,7 @@ def _standard_form(
     r_mat[m, :] = u - 1.0
     r_mat[m, m] = u[m]
     r_inv = np.linalg.inv(r_mat)
-    new_mats = np.einsum("ki,ayij,jl->aykl", r_mat, mats, r_inv)
+    new_mats = r_mat @ mats @ r_inv
     return GeneralizedTransducer(
         dims, actions, outputs, new_mats, np.ones(dims), r_mat @ v, name=name
     )
@@ -130,17 +130,22 @@ def reduce_generalized(
     ``both_sides`` follows with the dual pass over the span of forward
     vectors, which may shrink the dimension further when the start vector
     does not excite every observable direction.
+
+    Each change of basis is two stacked matmuls per letter, d x n by n x n
+    and then by n x d, so it costs O(|A||Y| n^2 d) for a span of dimension d.
+    A three-operand ``np.einsum`` without ``optimize`` runs one nested loop
+    instead, O(|A||Y| n^2 d^2).
     """
     final, kern, start = _boundary(t)
     name = f"{getattr(t, 'name', 'source')}/reduced"
     c_mat = _span_basis(final, kern.transpose(0, 1, 3, 2), tol)
-    mats = np.einsum("ki,ayij,jl->aykl", c_mat.T, kern, c_mat)
+    mats = c_mat.T @ kern @ c_mat
     u_vec = c_mat.T @ final
     v_vec = c_mat.T @ start
     if both_sides:
         probe = _standard_form(c_mat.shape[1], t.actions, t.outputs, mats, u_vec, v_vec, name)
         d_mat = _span_basis(probe.v, probe.matrices, tol)
-        mats = np.einsum("ki,ayij,jl->aykl", d_mat.T, probe.matrices, d_mat)
+        mats = d_mat.T @ probe.matrices @ d_mat
         u_vec = d_mat.T @ probe.u
         v_vec = d_mat.T @ probe.v
     return _standard_form(mats.shape[2], t.actions, t.outputs, mats, u_vec, v_vec, name)

@@ -48,40 +48,41 @@ class BDMSM:
 def _walk(t: Transducer, a_idx, y_idx, start: np.ndarray, step):
     """Run ``step`` along a word from ``start``, once per distinct edge.
 
-    ``step(row, m, out)`` writes the row after the step matrix ``m`` into
-    ``out`` and returns a value for that edge.  ``m`` is the
-    ``t.kernel[a, y]`` view itself: a kernel need not be C-contiguous, and a
-    contiguous copy can change a product's summation order in the last bit.
-    A row is known by its bytes and an edge by (row id, action, output), so
-    each distinct edge costs one ``step`` and every repeat one dict lookup;
-    on a source whose beliefs repeat (unifilar sources, card decks) a long
-    word visits a few dozen edges.  Returns the distinct rows in order of
-    discovery, as one array; the row id at every time (start first); the
-    value of each distinct edge; and the edge id of every step.
+    ``step(row, m)`` returns the row after the step matrix ``m`` and a value
+    for that step.  ``m`` is the ``t.kernel[a, y]`` view itself, taken once
+    per letter: a kernel need not be C-contiguous, and a contiguous copy can
+    change a product's summation order in the last bit.  A row is known by
+    its bytes and an edge by (row id, letter), so each distinct edge costs
+    one ``step`` and every repeat one dict lookup; on a source whose beliefs
+    repeat (unifilar sources, card decks) a long word visits a few dozen
+    edges.  Returns the distinct rows in order of discovery, as a list; the
+    row id at every time (start first); and the value of every step.
     """
     n_y = t.kernel.shape[1]
-    n_letters = t.kernel.shape[0] * n_y
-    buf = start[None].copy()  # the distinct rows; doubled when full
-    known, edges, values, heads = {start.tobytes(): 0}, {}, [], []
-    path, taken = [0], []
-    row_id, fresh = 0, 1
+    mats = [t.kernel[a, y] for a in range(t.kernel.shape[0]) for y in range(n_y)]
+    rows, known, edges = [start], {start.tobytes(): 0}, {}
+    path, values, row_id = [0], [], 0
     for a, y in zip(a_idx, y_idx):
-        key = row_id * n_letters + a * n_y + y
+        letter = a * n_y + y
+        key = row_id * len(mats) + letter
         edge = edges.get(key)
         if edge is None:
-            if fresh == len(buf):
-                buf = np.concatenate((buf, np.empty_like(buf)))
-            out = buf[fresh]
-            values.append(step(buf[row_id], t.kernel[a, y], out))
-            nxt = known.setdefault(out.tobytes(), fresh)
-            if nxt == fresh:
-                fresh += 1
-            edge = edges[key] = len(heads)
-            heads.append(nxt)
-        row_id = heads[edge]
+            nxt, value = step(rows[row_id], mats[letter])
+            edge = edges[key] = known.setdefault(nxt.tobytes(), len(rows)), value
+            if edge[0] == len(rows):
+                rows.append(nxt)
+        row_id, value = edge
         path.append(row_id)
-        taken.append(edge)
-    return buf[:fresh], path, values, taken
+        values.append(value)
+    return rows, path, values
+
+
+def _start(t: Transducer, h: History) -> np.ndarray:
+    """``t.initial`` over its mass; ImpossibleHistoryError on zero mass."""
+    mass = t.initial.sum()
+    if mass == 0.0:
+        raise ImpossibleHistoryError(f"history {h} has probability 0")
+    return t.initial / mass
 
 
 def _filter(t: Transducer, h: History, a_idx, y_idx):
@@ -91,19 +92,15 @@ def _filter(t: Transducer, h: History, a_idx, y_idx):
     output given the history before it.  Raises ImpossibleHistoryError on a
     start of zero mass or a step of probability 0.
     """
-    mass = t.initial.sum()
-    if mass == 0.0:
-        raise ImpossibleHistoryError(f"history {h} has probability 0")
 
-    def step(prev, m, out):
+    def step(prev, m):
         raw = m @ prev
         z = raw.sum()
         if z <= 0.0:
             raise ImpossibleHistoryError(f"history {h} has probability 0")
-        np.divide(raw, z, out=out)
-        return z
+        return raw / z, z
 
-    return _walk(t, a_idx, y_idx, t.initial / mass, step)
+    return _walk(t, a_idx, y_idx, _start(t, h), step)
 
 
 def log_probability(t: Transducer, h: History) -> float:
@@ -120,10 +117,10 @@ def log_probability(t: Transducer, h: History) -> float:
     if not mass > 0.0:
         return -math.inf
     try:
-        _, _, norms, taken = _filter(t, h, a_idx, y_idx)
+        _, _, norms = _filter(t, h, a_idx, y_idx)
     except ImpossibleHistoryError:
         return -math.inf
-    return math.log(mass) + float(np.log(np.array(norms))[taken].sum())
+    return math.log(mass) + float(np.log(np.array(norms)).sum())
 
 
 def bdmsm_from_word(t: Transducer, h: History) -> BDMSM:
@@ -134,18 +131,19 @@ def bdmsm_from_word(t: Transducer, h: History) -> BDMSM:
     from underflowing and leaves the posterior at the end.  The empty window
     returns the diagonal prior itself.  The product runs on ``_walk``: one
     product per distinct (joint matrix, letter) edge plus one dict lookup per
-    step.
+    step.  Raises ImpossibleHistoryError on a start of zero mass or a window
+    of probability 0.
     """
     a_idx, y_idx = t.word_indices(h)
 
-    def step(mat, m, out):
-        np.matmul(m, mat, out=out)
-        z = float(out.sum())
+    def step(mat, m):
+        mat = m @ mat
+        z = float(mat.sum())
         if z <= 0.0:
             raise ImpossibleHistoryError(f"window {h} has probability 0")
-        out /= z
+        return mat / z, None
 
-    rows, path, _, _ = _walk(t, a_idx, y_idx, np.diag(t.initial / t.initial.sum()), step)
+    rows, path, _ = _walk(t, a_idx, y_idx, np.diag(_start(t, h)), step)
     return BDMSM(rows[path[-1]], h)
 
 
@@ -227,16 +225,16 @@ def smooth(t: Transducer, h: History) -> np.ndarray:
     once.  Every row passes the checks of a ``BeliefState``.
     """
     a_idx, y_idx = t.word_indices(h)
-    rows, path, _, _ = _filter(t, h, a_idx, y_idx)
-    post = rows[path]
+    rows, path, _ = _filter(t, h, a_idx, y_idx)
+    post = np.array(rows)[path]
 
-    def step(likelihood, m, out):
-        np.matmul(likelihood / likelihood.sum(), m, out=out)
+    def step(likelihood, m):
+        return (likelihood / likelihood.sum()) @ m, None
 
     if h:  # the walk carries raw likelihood rows, last first; the first comes from all ones
         last = np.ones(t.n) @ t.kernel[a_idx[-1], y_idx[-1]]
-        rows, path, _, _ = _walk(t, a_idx[-2::-1], y_idx[-2::-1], last, step)
-        post[:-1] *= rows[path[::-1]]
+        rows, path, _ = _walk(t, a_idx[-2::-1], y_idx[-2::-1], last, step)
+        post[:-1] *= np.array(rows)[path[::-1]]
     z = post[:-1].sum(axis=1)
     if np.any(z <= 0.0):
         raise ImpossibleHistoryError(f"history {h} has probability 0")

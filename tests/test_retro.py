@@ -56,6 +56,15 @@ class TestBdmsmFromWord:
         with pytest.raises(ImpossibleHistoryError):
             bdmsm_from_word(fix_a, History(("0",), ("1",)))
 
+    @pytest.mark.parametrize("window", [History.empty(), History(("1",), ("0",))])
+    def test_start_of_zero_mass_is_impossible(self, fix_a, window):
+        t = Transducer("zero", fix_a.states, fix_a.actions, fix_a.outputs, fix_a.kernel, [0.0, 0.0])
+        with pytest.raises(ImpossibleHistoryError):
+            bdmsm_from_word(t, window)
+        with pytest.raises(ImpossibleHistoryError):
+            smooth(t, window)
+        assert log_probability(t, window) == -np.inf
+
     def test_invariants_on_seeded_traces(self, fix_a, fix_b, fix_c):
         for t in (fix_a, fix_b, fix_c):
             for h in positive_histories(t, 4):
@@ -250,6 +259,8 @@ class TestSmooth:
         post = smooth(t, h)
         assert post.shape == (length + 1, t.n) and not post.flags.writeable
         assert np.array_equal(post, [s.weights for s in reference_smooth(t, h)])
+        assert np.array_equal(bdmsm_from_word(t, h).matrix, reference_bdmsm(t, h))
+        assert abs(log_probability(t, h) - log_word_probability(t, h)) <= 1e-9
 
     def test_long_trace_rows_are_the_reference_slices(self, fix_c):
         actions, outputs, _ = sample_trajectory(fix_c, UNIFORM, 3000, seed=3)
