@@ -136,9 +136,13 @@ def _belief_link(
     big: np.ndarray, link: np.ndarray, small: np.ndarray, tol: float
 ) -> tuple[float, float]:
     """The largest column L1 norm of big_x @ link - link @ small_x over letters x,
-    and how far a belief closure at tol may leave that link; see ``build_msp``."""
+    and how far a belief closure at tol may leave that link; see ``build_msp``.
+    Each column of a belief machine's small_x holds at most one nonzero, its
+    sum, so link @ small_x is a gather of link's columns, bit for bit."""
     pushed = big @ link  # T_x b for each letter x and belief b
-    residual = float(np.abs(pushed - link @ small).sum(axis=-2).max(initial=0.0))
+    target = (small != 0).argmax(axis=-2)  # each column's one nonzero row, or row 0
+    carried = np.moveaxis(link[:, target], 0, -2) * small.sum(axis=-2)[..., None, :]
+    residual = float(np.abs(pushed - carried).sum(axis=-2).max(initial=0.0))
     mass = np.abs(pushed).sum(axis=-2)  # its sum plus twice its negative mass
     negative = float((mass - pushed.sum(axis=-2)).max(initial=0.0))
     return residual, tol * max(1.0, float(mass.max(initial=0.0))) + negative
@@ -151,10 +155,10 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     a candidate belief is identified with the first known one within tol in
     L1 distance, and branches whose emission probability is at most tol are
     pruned.  Each level's updates come from one stacked product (bit for bit
-    the single products T_x b), and are looked up in (belief, action,
-    output) order, an update that repeats an earlier one bit for bit taking
-    its answer (``_TolIndex.first``), so the beliefs, their numbering and
-    the edges are those of a belief-by-belief walk.  Raises MspClosureError
+    the single products T_x b), each placed in (belief, action, output) order
+    by one ``_TolIndex.place``, a bit-for-bit repeat taking its first answer,
+    so the beliefs, their numbering and the edges are those of a
+    belief-by-belief walk.  Raises MspClosureError
     (with closure diagnostics) rather than truncating silently past
     ``max_states`` beliefs, which also bounds the depth.  An invalid source,
     at the belief machine's tolerance max(DEFAULT_TOL, |Y| * tol), or
@@ -179,7 +183,7 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     start = t.initial / t.initial.sum()
     beliefs: list[np.ndarray] = [start]
     index = _TolIndex(t.n, tol)
-    index.add(0, index.project(start[None])[0], repeat=index.repeats(start[None])[0])
+    index.place(0, index.project(start[None])[0], start, None)
     depth_of = [0]
 
     def _closure_error(msg: str) -> MspClosureError:
@@ -209,14 +213,13 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
         emit = emit[src, letter]
         news = raw[src, letter] / emit[:, None]
         src = (src + lo).tolist()
-        for bi, new, key, repeat in zip(src, news, index.project(news), index.repeats(news)):
-            target = index.first(key, lambda k: float(np.abs(beliefs[k] - new).sum()) <= tol, repeat)
+        for bi, new, key in zip(src, news, index.project(news)):
+            target = index.place(len(beliefs), key, new, lambda k: float(np.abs(beliefs[k] - new).sum()) <= tol)
             if target is None:
                 if len(beliefs) >= max_states:
                     raise _closure_error(f"more than {max_states} beliefs reached")
                 target = len(beliefs)
                 beliefs.append(new)
-                index.add(target, key, repeat=repeat)
                 depth_of.append(depth_of[bi] + 1)
             targets.append(target)
         letters.append(letter)

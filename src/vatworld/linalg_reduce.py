@@ -27,7 +27,7 @@ from .core import (
     Violation,
 )
 from . import budget
-from .oracle import _boundary, _history, _span_grower, _word_levels
+from .oracle import _boundary, _history, _span_floor, _span_grower, _word_levels
 
 Source = Union[Transducer, GeneralizedTransducer]
 
@@ -58,7 +58,7 @@ def history_vectors(
     levels.
     """
     final, kern, _ = _boundary(t)
-    grow, _ = _span_grower(len(final), tol * float(np.linalg.norm(final)))
+    grow, _ = _span_grower(len(final), _span_floor(final, tol))
     columns: dict[History, np.ndarray] = {}
     levels = _word_levels([final], kern.transpose(0, 1, 3, 2), max_len, lambda words, vecs: grew)
     for _, words, vecs in levels:
@@ -83,7 +83,7 @@ def canonical_dimension(t: Source, tol: float = DEFAULT_TOL) -> int:
 
 def _span_basis(start: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal columns spanning every word vector the walk reaches from start."""
-    grow, basis = _span_grower(len(start), tol * float(np.linalg.norm(start)))
+    grow, basis = _span_grower(len(start), _span_floor(start, tol))
     for _ in _word_levels([start], mats, keep=lambda words, vecs: grow(vecs)):
         pass
     if not basis:

@@ -79,13 +79,14 @@ class _TolIndex:
     probe is not finite (a non-finite entry, an infinite tol) or would cover
     more cells than the group has rows, it returns every row of the group.
 
-    ``first`` answers a query with that first candidate, and keeps the
-    answer for the query's bytes (``repeats``): a later query of the same
-    bytes in the same group takes it without a lookup.  That is the scan's
-    answer too, because ids only ascend, so no row stored since lies before
-    it, and a finite row lies within every tol >= 0 of itself, so a query
-    that was stored answers its repeats.  Under a nan or negative tol and for
-    a row with a nan or infinite entry no answer is kept.
+    ``place`` answers a query with that first candidate or, where none
+    passes, stores the query.  It keeps the answer for the query's bytes in
+    its group, so a later query of the same bytes takes it without a lookup.
+    That is the scan's answer too: ids only ascend, so no row stored since
+    lies before it, and a finite row lies within every tol >= 0 of itself,
+    so a query that was stored answers its repeats.  Under a nan or negative
+    tol and for a row whose projection is not finite (a row with a nan or
+    infinite entry, as every weight is positive) no answer is kept.
     """
 
     def __init__(self, dim: int, tol: float):
@@ -106,37 +107,27 @@ class _TolIndex:
             s = self._rel * (np.abs(rows) @ self._w + self._tol) + _TINY
         return list(zip(p.tolist(), s.tolist()))
 
-    def repeats(self, rows: np.ndarray) -> list:
-        """Per row of a 2-D array, its bytes where a later query of the same
-        bytes may take its answer, else None."""
-        if not self._tol >= 0.0:
-            return [None] * len(rows)
-        finite = np.isfinite(rows).all(axis=1).tolist()
-        return [row.tobytes() if ok else None for row, ok in zip(rows, finite)]
-
-    def first(self, key: tuple[float, float], within, repeat=None, group=None):
-        """The first id of ``group`` whose stored row passes ``within(id)``, or
-        None; ``repeat`` is the query's entry of ``repeats``."""
-        if repeat is not None and (group, repeat) in self._answers:
-            return self._answers[group, repeat]
-        for ident in self.candidates(key, group):
-            if within(ident):
-                if repeat is not None:
-                    self._answers[group, repeat] = ident
-                return ident
-        return None
-
-    def add(self, ident: int, key: tuple[float, float], group=None, repeat=None) -> None:
-        """Store row ``ident`` (ids must ascend within a group) by its projection
-        key; a query whose ``repeats`` entry is ``repeat`` answers ``ident``."""
-        if repeat is not None:
-            self._answers[group, repeat] = ident
+    def place(self, ident: int, key: tuple[float, float], row: np.ndarray, within, group=None):
+        """The first id of ``group`` whose stored row passes ``within(id)``; where
+        none does, None, and ``row`` is stored as ``ident`` (ids must ascend
+        within a group) under ``key``, its entry of ``project``."""
         p, s = key
+        repeat = (group, row.tobytes()) if self._tol >= 0.0 and math.isfinite(p) else None
+        if repeat in self._answers:
+            return self._answers[repeat]
+        for k in self.candidates(key, group):
+            if within(k):
+                if repeat is not None:
+                    self._answers[repeat] = k
+                return k
+        if repeat is not None:
+            self._answers[repeat] = ident
         self._groups.setdefault(group, []).append(ident)
         cell = p / self._pitch
         if math.isfinite(cell):  # a row without a cell is only reached by the fallback
             self._cells.setdefault((group, math.floor(cell)), []).append(ident)
             self._slack = max(self._slack, s)
+        return None
 
     def candidates(self, key: tuple[float, float], group=None) -> list[int]:
         """Ids of the stored rows of ``group`` that may lie within tol of the query."""
@@ -178,13 +169,13 @@ def _block_signature(t: Transducer, class_of) -> np.ndarray:
 
 def _leaders(sig: np.ndarray, tol: float, states: np.ndarray, groups: np.ndarray) -> list[int]:
     """Per state of ``states`` (ascending), its leader: in state order, the first
-    leader of its group within tol (max norm) of its row, or the state itself."""
+    leader of its group within tol (max norm) of its row, or the state itself,
+    by one ``_TolIndex.place`` per state (a bit-for-bit repeat takes its leader)."""
     index = _TolIndex(sig.shape[1], tol)
+    rows = sig[states]
     assign = []
-    for j, group, key in zip(states.tolist(), groups.tolist(), index.project(sig[states])):
-        lead = index.first(key, lambda k: (np.abs(sig[j] - sig[k]) <= tol).all(), group=group)
-        if lead is None:
-            index.add(j, key, group)
+    for j, group, key, row in zip(states.tolist(), groups.tolist(), index.project(rows), rows):
+        lead = index.place(j, key, row, lambda k: (np.abs(row - sig[k]) <= tol).all(), group)
         assign.append(j if lead is None else lead)
     return assign
 
@@ -195,8 +186,7 @@ def _split_by_signature(sig: np.ndarray, tol: float, first) -> np.ndarray:
 
     A group whose rows all lie within tol (max norm) of its first member's is
     one class, as the scan makes it, so the scan runs on the other groups
-    alone, on the first state of each finite (group, row bytes): a repeat takes
-    its leader, as leaders ascend and a finite row is within tol >= 0 of itself.
+    alone; |inf - inf| is nan, so rows with non-finite entries still reach it.
     Under a nan or negative tol no row, even a zero-width one, is within tol
     of another: every state leads itself."""
     first = np.asarray(first, dtype=np.intp)
@@ -209,14 +199,7 @@ def _split_by_signature(sig: np.ndarray, tol: float, first) -> np.ndarray:
         return first
     lead = first.copy()
     unsettled = np.flatnonzero(np.bincount(first[~near], minlength=len(first))[first])
-    rows, groups = sig[unsettled], first[unsettled].tolist()  # each row has a column: zero-width rows are near
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    finite = np.isfinite(rows).all(axis=1).tolist()
-    firsts: dict = {}  # (group, row bytes) of a finite row, else its state -> the first state
-    copy = [firsts.setdefault((g, k) if ok else j, j) for j, g, k, ok in zip(unsettled.tolist(), groups, keys, finite)]
-    scanned = np.fromiter(firsts.values(), np.intp)
-    lead[scanned] = _leaders(sig, tol, scanned, first[scanned])
-    lead[unsettled] = lead[copy]
+    lead[unsettled] = _leaders(sig, tol, unsettled, first[unsettled])
     return lead
 
 

@@ -75,6 +75,14 @@ def _span_grower(dims: int, floor: float):
     return grow, basis
 
 
+def _span_floor(start: np.ndarray, tol: float) -> float:
+    """(tol + g) |start|, the residual a word vector must pass to grow a span
+    from ``start``: g = nu / (1 - nu), nu = 4 d eps, bounds the rounding of a
+    two-pass Gram-Schmidt residual in d dimensions (Higham 2002, ch. 3)."""
+    nu = 4 * len(start) * float(np.finfo(float).eps)
+    return (tol + nu / (1.0 - nu)) * float(np.linalg.norm(start))
+
+
 def _word_levels(starts, mats: np.ndarray, depth: Optional[int] = None, keep=None):
     """Level-batched breadth-first walk over words: the one word walker.
 
@@ -319,7 +327,7 @@ def equivalent(
     joint[:, :, :n1, :n1] = kern1
     joint[:, :, n1:, n1:] = kern2
     start = np.concatenate([start1, start2])
-    grow, _ = _span_grower(len(start), tol * float(np.linalg.norm(start)))
+    grow, _ = _span_grower(len(start), _span_floor(start, tol))
     for _, words, vecs in _word_levels([start], joint, depth, lambda words, vecs: grow(vecs)):
         p1, p2 = vecs[:, :n1] @ final1, vecs[:, n1:] @ final2
         bad = np.flatnonzero(np.abs(p1 - p2) > tol)

@@ -78,7 +78,10 @@ def _walk(t: Transducer, a_idx, y_idx, start: np.ndarray, step):
 
 
 def _start(t: Transducer, h: History) -> np.ndarray:
-    """``t.initial`` over its mass; ImpossibleHistoryError on zero mass."""
+    """``t.initial`` over its mass; StructureError on a negative or non-finite
+    entry, ImpossibleHistoryError on zero mass."""
+    if not np.all((t.initial >= 0.0) & (t.initial < np.inf)):
+        raise StructureError(f"{t.name}: initial needs finite, non-negative entries, got {t.initial.tolist()}")
     mass = t.initial.sum()
     if mass == 0.0:
         raise ImpossibleHistoryError(f"history {h} has probability 0")
@@ -110,17 +113,15 @@ def log_probability(t: Transducer, h: History) -> float:
     the log of the start's mass plus the sum of the logs of the step
     normalisers, so it stays finite however long the history.  Each distinct
     (belief, letter) edge costs one product, as in ``smooth``.  Returns -inf
-    for an impossible history or a start of no positive mass.
+    for an impossible history or a start of zero mass; a start with a
+    negative or non-finite entry raises StructureError, as in ``smooth``.
     """
     a_idx, y_idx = t.word_indices(h)
-    mass = float(t.initial.sum())
-    if not mass > 0.0:
-        return -math.inf
     try:
         _, _, norms = _filter(t, h, a_idx, y_idx)
     except ImpossibleHistoryError:
         return -math.inf
-    return math.log(mass) + float(np.log(np.array(norms)).sum())
+    return math.log(float(t.initial.sum())) + float(np.log(np.array(norms)).sum())
 
 
 def bdmsm_from_word(t: Transducer, h: History) -> BDMSM:
@@ -131,8 +132,9 @@ def bdmsm_from_word(t: Transducer, h: History) -> BDMSM:
     from underflowing and leaves the posterior at the end.  The empty window
     returns the diagonal prior itself.  The product runs on ``_walk``: one
     product per distinct (joint matrix, letter) edge plus one dict lookup per
-    step.  Raises ImpossibleHistoryError on a start of zero mass or a window
-    of probability 0.
+    step.  Raises StructureError on a start with a negative or non-finite
+    entry, ImpossibleHistoryError on one of zero mass or a window of
+    probability 0.
     """
     a_idx, y_idx = t.word_indices(h)
 

@@ -371,6 +371,8 @@ class TestBuildMsp:
             for y in range(len(t.outputs)):
                 gap = t.kernel[a, y] @ link - link @ msp.machine.kernel[a, y]
                 assert np.abs(gap).sum(axis=0).max() <= tol + allowance
+        gap = t.kernel @ link - link @ msp.machine.kernel
+        assert msp.link_residual == float(np.abs(gap).sum(axis=-2).max(initial=0.0))
 
     def test_belief_simplex_closure(self, fix_b, fix_c):
         for t in (fix_b, fix_c):

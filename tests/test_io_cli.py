@@ -1514,6 +1514,18 @@ class TestPolicyTableEntriesAreChecked:
         assert str(err.value) == "p.json: entries[2]: same (actions, outputs) as entries[0]"
 
 
+class TestSpansAtTolZero:
+    @pytest.mark.parametrize("command", [["dimension"], ["reduce-gt"], ["reduce-gt", "--both-sides"]])
+    def test_tol_zero_gives_the_default_tol_answers(self, machine_files, command):
+        for path in machine_files.values():
+            answers = []
+            for tol in ([], ["--tol", "0"]):
+                code, report = run([*command, path, *tol])
+                assert code == 0, (path, report.verdicts)
+                answers.append(report.verdicts)
+            assert answers[1] == answers[0], path
+
+
 class TestReduceGtStartMass:
     def test_a_start_of_partial_mass_is_refused_by_name(self, tmp_path):
         doc = vio.transducer_to_doc(ALL_FIXTURES["delay-channel"]())

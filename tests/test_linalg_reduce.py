@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vatworld.core import Alphabet, GeneralizedTransducer, History, Transducer
 from vatworld.linalg_reduce import (
@@ -12,7 +14,7 @@ from vatworld.linalg_reduce import (
 )
 from vatworld.oracle import equivalent
 
-from conftest import path_enum_probability, random_transducer
+from conftest import PROPERTY_KINDS, path_enum_probability, property_machine, random_transducer
 
 
 class TestHistoryVectors:
@@ -79,6 +81,15 @@ class TestCanonicalDimension:
         assert equivalent(t, fix_a).equivalent
         assert canonical_dimension(t) == reduce_generalized(t).dims == 3
         assert reduce_generalized(t, both_sides=True).dims == 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(PROPERTY_KINDS), seed=st.integers(0, 2**32 - 1))
+    def test_spans_at_tol_zero_are_those_at_1e_12(self, kind, seed):
+        # at tol 0 only the rounding allowance of the span floor keeps a
+        # residual of rounding noise from growing the span
+        t = property_machine(kind, seed)
+        assert canonical_dimension(t, 0.0) == canonical_dimension(t, 1e-12)
+        assert reduce_generalized(t, 0.0, both_sides=True).dims == reduce_generalized(t, 1e-12, both_sides=True).dims
 
 
 class TestReduceGeneralized:

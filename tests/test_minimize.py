@@ -58,13 +58,11 @@ def _scan_first(rows, within, groups):
 
 
 def _index_first(rows, tol, within, groups):
-    """The same assignment, with candidates looked up in a _TolIndex."""
+    """The same assignment, with each row placed in a _TolIndex."""
     index = _TolIndex(rows.shape[1], tol)
     out = []
     for j, key in enumerate(index.project(rows)):
-        match = next((k for k in index.candidates(key, groups[j]) if within(rows[k], rows[j])), None)
-        if match is None:
-            index.add(j, key, groups[j])
+        match = index.place(j, key, rows[j], lambda k: within(rows[k], rows[j]), groups[j])
         out.append(j if match is None else match)
     return out
 
@@ -222,23 +220,32 @@ class TestRepeatMemo:
     def test_a_repeat_takes_the_first_answer_without_a_lookup(self):
         rows = _memo_rows("near-tie chain", 1e-3)
         index = _TolIndex(3, 1e-3)
-        repeats = index.repeats(rows)
-        assert repeats[1] == repeats[3] and repeats[2] == repeats[4]
-        index.add(0, index.project(rows[:1])[0], repeat=repeats[0])
-        assert index.first(index.project(rows[1:2])[0], lambda k: True, repeats[1]) == 0
+        keys = index.project(rows)
+        assert rows[1].tobytes() == rows[3].tobytes() and rows[2].tobytes() == rows[4].tobytes()
+        assert index.place(0, keys[0], rows[0], lambda k: False) is None
+        assert index.place(1, keys[1], rows[1], lambda k: True) == 0
         # the answer kept for b's bytes is 0, whatever the distance test says now
-        assert index.first(index.project(rows[3:4])[0], lambda k: False, repeats[3]) == 0
-        assert index.first(index.project(rows[2:3])[0], lambda k: False, repeats[2]) is None
+        assert index.place(3, keys[3], rows[3], lambda k: False) == 0
+        assert index.place(2, keys[2], rows[2], lambda k: False) is None
+        # c was stored, so it answers its repeat
+        assert index.place(4, keys[4], rows[4], lambda k: False) == 2
 
     @pytest.mark.parametrize("tol", [np.nan, -1e-9])
     def test_no_answer_is_kept_where_no_row_is_within_tol(self, tol):
         index = _TolIndex(3, tol)
-        assert index.repeats(np.ones((2, 3))) == [None, None]
+        rows = np.ones((2, 3))
+        keys = index.project(rows)
+        assert [index.place(j, keys[j], rows[j], lambda k: True) for j in range(2)] == [None, None]
 
     def test_no_answer_is_kept_for_a_non_finite_row(self):
         rows = _memo_rows("nan and inf", 1e-9)
-        finite = np.isfinite(rows).all(axis=1)
-        assert [r is not None for r in _TolIndex(3, 1e-9).repeats(rows)] == finite.tolist()
+        index = _TolIndex(3, 1e-9)
+        keys = index.project(rows)
+        n = len(rows)
+        for j in range(n):
+            index.place(j, keys[j], rows[j], lambda k: False)
+        kept = [index.place(n + j, keys[j], rows[j], lambda k: False) is not None for j in range(n)]
+        assert kept == np.isfinite(rows).all(axis=1).tolist()
 
     @pytest.mark.parametrize("tol", PROPERTY_TOLS + (np.nan,))
     def test_refinement_is_the_scan_refinement_on_repeated_states(self, tol):

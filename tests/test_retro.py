@@ -65,6 +65,14 @@ class TestBdmsmFromWord:
             smooth(t, window)
         assert log_probability(t, window) == -np.inf
 
+    @pytest.mark.parametrize("start", [[np.nan, 0.5], [np.inf, 0.5], [-0.5, -0.5], [1.5, -0.5]])
+    @pytest.mark.parametrize("window", [History.empty(), History(("1",), ("0",))])
+    def test_start_with_a_negative_or_non_finite_entry_is_refused(self, fix_a, start, window):
+        t = Transducer("bad", fix_a.states, fix_a.actions, fix_a.outputs, fix_a.kernel, start)
+        for walk in (bdmsm_from_word, smooth, log_probability):
+            with pytest.raises(StructureError, match="initial"):
+                walk(t, window)
+
     def test_invariants_on_seeded_traces(self, fix_a, fix_b, fix_c):
         for t in (fix_a, fix_b, fix_c):
             for h in positive_histories(t, 4):
