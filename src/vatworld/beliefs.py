@@ -160,9 +160,10 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     so the beliefs, their numbering and the edges are those of a
     belief-by-belief walk.  Raises MspClosureError
     (with closure diagnostics) rather than truncating silently past
-    ``max_states`` beliefs, which also bounds the depth.  An invalid source,
-    at the belief machine's tolerance max(DEFAULT_TOL, |Y| * tol), or
-    ``max_states`` below 1 raises StructureError.  The result is unifilar by
+    ``max_states`` beliefs, which also bounds the depth.  A tol that is not a
+    finite number at least 0, an invalid source, at the belief machine's
+    tolerance max(DEFAULT_TOL, |Y| * tol), or ``max_states`` below 1 raises
+    StructureError before the closure starts.  The result is unifilar by
     construction and checked once, by its link to the source, the largest
     column L1 norm of T_x L - L B_x with L the beliefs as columns.  A merged
     update T_x b lies within tol * |T_x b|_1 of its belief times emit, and a
@@ -173,6 +174,8 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
     Both are kept on the result.  Then every belief is checked as a
     ``BeliefState`` checks its one.
     """
+    if not 0.0 <= tol < np.inf:
+        raise StructureError(f"tol must be a finite number at least 0, got {tol}")
     if max_states < 1:
         raise StructureError(f"max_states must be at least 1, got {max_states}")
     n_actions, n_outputs = len(t.actions), len(t.outputs)
@@ -209,7 +212,7 @@ def build_msp(t: Transducer, tol: float = DEFAULT_TOL, max_states: int = 1000) -
         hi = len(beliefs)
         raw = np.matmul(flat, np.array(beliefs[lo:hi])[:, None, :, None])[..., 0]
         emit = raw.sum(axis=-1)  # [belief, letter]
-        src, letter = np.nonzero(~(emit <= tol))  # a nan tol prunes nothing
+        src, letter = np.nonzero(emit > tol)
         emit = emit[src, letter]
         news = raw[src, letter] / emit[:, None]
         src = (src + lo).tolist()

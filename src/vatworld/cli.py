@@ -400,7 +400,7 @@ def _cmd_reverse(args, report: RunReport) -> int:
     if verdict.reversible and args.out:
         marginals = state_marginals(t, policy, args.horizon)
         for tau in range(args.horizon):
-            rk = reverse_kernel(t, policy, tau, marginals=marginals, tol=args.tol)
+            rk = reverse_kernel(t, marginals, tau, args.tol)
             doc = {
                 "tau": tau,
                 "policy": policy.describe(),

@@ -57,6 +57,7 @@ def epsilon_transducer(
     within tol of the leader, and the averaged quotient column within 2 tol
     of each member: delta_q <= 2 tol.  Past both, or with 1'L off 1',
     by over 8 (n + k) machine epsilons, a RuntimeError reports a construction bug.
+    A tol that ``build_msp`` refuses raises its StructureError.
     """
     msp = build_msp(t, tol, max_states)
     part = coarsest_bisimulation(msp.machine, tol)

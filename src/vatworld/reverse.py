@@ -40,18 +40,6 @@ class MarginalTable:
     horizon: int
     policy: str
 
-    def state_given_action(self, tau: int) -> tuple[np.ndarray, np.ndarray]:
-        """Conditional Pr(state | action) at tau and the action marginal.
-
-        Columns for actions of zero probability are returned as zero.
-        """
-        slice_ = self.joint[tau]  # [s, a]
-        p_action = slice_.sum(axis=0)
-        cond = np.zeros_like(slice_)
-        ok = p_action > 0.0
-        cond[:, ok] = slice_[:, ok] / p_action[ok]
-        return cond, p_action
-
 
 def state_marginals(t: Transducer, policy: Policy, horizon: int) -> MarginalTable:
     """Exact per-time joint of (state, action) under a policy.
@@ -222,9 +210,9 @@ class ReverseKernel:
     """Backward one-step kernel at a fixed time, under a declared policy.
 
     matrices[a, y, i, j] is the probability of (output y, previous state i)
-    given (action a, next state j); columns where the next state is
-    unreachable under the policy are undefined and masked out rather than
-    zero-filled.
+    given (action a, next state j).  A column whose action or next state is
+    unreachable under the policy is undefined: it is zero-filled, and False
+    in defined_mask.
     """
 
     matrices: np.ndarray
@@ -237,40 +225,34 @@ class ReverseKernel:
 
 
 def reverse_kernel(
-    t: Transducer,
-    policy: Policy,
-    tau: int,
-    tol: float = DEFAULT_TOL,
-    marginals: Optional[MarginalTable] = None,
+    t: Transducer, marginals: MarginalTable, tau: int, tol: float = DEFAULT_TOL
 ) -> ReverseKernel:
-    """Bayes-invert the one-step kernel at time tau under the given policy.
+    """Bayes-invert the one-step kernel at time tau, 0 <= tau <= marginals.horizon.
 
     The forward kernel is reweighted by the ratio of state marginals
-    conditioned on the current action; by construction every defined column
-    is a genuine conditional distribution, whether or not the machine is
-    reversible.
+    conditioned on the current action, read from marginals.joint[tau]; the
+    kernel is stamped with marginals.policy.  A column (a, j) is defined
+    when Pr(a) and Pr(next state j | a) are above tol, and by construction
+    every defined column is a genuine conditional distribution, whether or
+    not the machine is reversible.  A tau outside the table raises
+    StructureError.
     """
-    if marginals is None:
-        marginals = state_marginals(t, policy, tau + 1)
-    if marginals.horizon < tau + 1:
+    if not 0 <= tau <= marginals.horizon:
         raise StructureError(
-            f"marginal table covers horizon {marginals.horizon}, need {tau + 1}"
+            f"tau must be between 0 and the marginal table's horizon {marginals.horizon}, got {tau}"
         )
-    cond, p_action = marginals.state_given_action(tau)  # cond[s, a]
+    slice_ = marginals.joint[tau]  # [s, a]
+    p_action = slice_.sum(axis=0)
+    cond = np.zeros_like(slice_)  # Pr(state | action); zero for actions of no mass
+    ok = p_action > 0.0
+    cond[:, ok] = slice_[:, ok] / p_action[ok]
     tr = t.transition_marginals()
-    n, n_actions = t.n, len(t.actions)
-    matrices = np.zeros_like(t.kernel)
-    mask = np.zeros((n_actions, n), dtype=bool)
-    for a in range(n_actions):
-        if p_action[a] <= tol:
-            continue
-        nxt = tr[a] @ cond[:, a]  # Pr(next state | action a)
-        for j in range(n):
-            if nxt[j] <= tol:
-                continue
-            mask[a, j] = True
-            # matrices[a, y, i, j] = cond[i, a] / nxt[j] * kernel[a, y, j, i]
-            matrices[a, :, :, j] = (t.kernel[a, :, j, :] * cond[:, a][None, :]) / nxt[j]
+    nxt = np.array([tr[a] @ cond[:, a] for a in range(len(t.actions))])  # Pr(next state | a)
+    mask = (p_action > tol)[:, None] & (nxt > tol)
+    divisor = np.where(mask, nxt, 1.0)  # undefined columns divide by 1, then read 0.0
+    # matrices[a, y, i, j] = kernel[a, y, j, i] * cond[i, a] / nxt[a, j]
+    inverted = t.kernel.transpose(0, 1, 3, 2) * cond.T[:, None, :, None] / divisor[:, None, None, :]
+    matrices = np.where(mask[:, None, None, :], inverted, 0.0)
     if not mask.any():
         raise VatworldError(
             f"no (action, next state) column is reachable at time {tau} under this policy"

@@ -16,7 +16,7 @@ from vatworld import budget
 from vatworld.beliefs import BeliefState, BeliefTransducer, _belief_link, is_unifilar
 from vatworld.core import DEFAULT_TOL, Alphabet, History, Transducer, make_card_deck, validate
 from vatworld.epsilon import HistoryClustering
-from vatworld.errors import ImpossibleHistoryError, MspClosureError, StructureError
+from vatworld.errors import ImpossibleHistoryError, MspClosureError, StructureError, VatworldError
 from vatworld.fixtures import delay_channel, mixture_hmm, parity_flip, parity_flip_redundant
 from vatworld.minimize import Partition, _emission_signature
 from vatworld.oracle import (
@@ -29,6 +29,7 @@ from vatworld.oracle import (
 )
 from vatworld.reverse import (
     MarginalTable,
+    ReverseKernel,
     ReversibilityVerdict,
     ReversibilityWitness,
     reverse_kernel,
@@ -165,10 +166,7 @@ def path_enum_reverse_generates(t: Transducer, policy, horizon: int = 4, tol: fl
     n = t.n
     n_actions, n_outputs = len(t.actions), len(t.outputs)
     marginals = state_marginals(t, policy, horizon)
-    revs = [
-        reverse_kernel(t, policy, tau, marginals=marginals, tol=tol)
-        for tau in range(horizon)
-    ]
+    revs = [reverse_kernel(t, marginals, tau, tol) for tau in range(horizon)]
     tr = t.transition_marginals()
     max_dev = 0.0
     witness: Optional[dict] = None
@@ -385,6 +383,40 @@ def exhaustive_check_reversible(t: Transducer, horizon: int = 4, tol: float = 1e
                 ),
             )
     return ReversibilityVerdict(True, "exhaustive", horizon)
+
+
+def loop_reverse_kernel(t: Transducer, marginals: MarginalTable, tau: int, tol: float) -> ReverseKernel:
+    """Backward kernel by one Python pass per (action, next state), kept verbatim.
+
+    Pr(state | action) is the joint slice over its action marginal, zero for
+    actions of no mass.  The loop skips actions of mass at most tol and next
+    states of conditional mass at most tol, and fills one column per
+    remaining pair.
+    """
+    slice_ = marginals.joint[tau]  # [s, a]
+    p_action = slice_.sum(axis=0)
+    cond = np.zeros_like(slice_)
+    ok = p_action > 0.0
+    cond[:, ok] = slice_[:, ok] / p_action[ok]
+    tr = t.transition_marginals()
+    n, n_actions = t.n, len(t.actions)
+    matrices = np.zeros_like(t.kernel)
+    mask = np.zeros((n_actions, n), dtype=bool)
+    for a in range(n_actions):
+        if p_action[a] <= tol:
+            continue
+        nxt = tr[a] @ cond[:, a]  # Pr(next state | action a)
+        for j in range(n):
+            if nxt[j] <= tol:
+                continue
+            mask[a, j] = True
+            # matrices[a, y, i, j] = cond[i, a] / nxt[j] * kernel[a, y, j, i]
+            matrices[a, :, :, j] = (t.kernel[a, :, j, :] * cond[:, a][None, :]) / nxt[j]
+    if not mask.any():
+        raise VatworldError(
+            f"no (action, next state) column is reachable at time {tau} under this policy"
+        )
+    return ReverseKernel(matrices, mask, tau, marginals.policy)
 
 
 def history_walk_state_marginals(t: Transducer, policy, horizon: int) -> MarginalTable:

@@ -45,7 +45,7 @@ from vatworld.linalg_reduce import canonical_dimension, gt_validate_interface, r
 from vatworld.minimize import coarsest_bisimulation, minimize_bisim
 from vatworld.oracle import equivalent, sample_trajectory, word_probability
 from vatworld.retro import bdmsm_forward, bdmsm_from_word, smooth
-from vatworld.reverse import check_reversible, reverse_kernel
+from vatworld.reverse import check_reversible, reverse_kernel, state_marginals
 
 from conftest import (
     exhaustive_check_reversible,
@@ -219,7 +219,7 @@ def test_criterion_6_reversibility():
         res = path_enum_reverse_generates(t, UNIFORM, horizon=2, tol=1e-9)
         ok = ok and not res.ok
     for t, tau in ((fd, 1), (flip, 2), (fa, 1)):
-        rk = reverse_kernel(t, UNIFORM, tau=tau, tol=1e-9)
+        rk = reverse_kernel(t, state_marginals(t, UNIFORM, tau), tau, tol=1e-9)
         sums = rk.column_sums()
         ok = ok and bool(np.all(np.abs(sums[rk.defined_mask] - 1.0) <= 1e-9))
     _report(6, ok, "reversibility verdicts, witnesses, and backward-kernel normalization")

@@ -252,6 +252,11 @@ class TestBuildMsp:
         assert err.value.visited == 200
         assert err.value.nearest_pair_distance > 0
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf])
+    def test_tol_not_finite_at_least_zero_is_refused(self, fix_a, tol):
+        with pytest.raises(StructureError, match=f"^tol must be a finite number at least 0, got {tol}$"):
+            build_msp(fix_a, tol)
+
     def test_nearest_pair_is_the_pair_loops(self, fix_c):
         with pytest.raises(MspClosureError) as got:
             build_msp(fix_c, max_states=200)
@@ -330,8 +335,7 @@ class TestBuildMsp:
         # Letters with equal matrices give updates equal bit for bit.  "one
         # belief" sends every belief to (1/2, 1/2); in "near-tie chain" the
         # letters lead to a, b, c, b, c, with b within 1e-3 (L1) of a and of c,
-        # and c not within 1e-3 of a.  Under a nan tol no update is within tol
-        # of any belief, repeats included, so both refuse at the cap.
+        # and c not within 1e-3 of a.  A nan tol is refused before any work.
         if shape == "one belief":
             targets = [np.array([0.5, 0.5])] * 2
         else:
@@ -341,7 +345,11 @@ class TestBuildMsp:
         kernel = np.array([[np.outer(share * b, np.ones(n)) for b in targets]])
         outputs = [f"y{k}" for k in range(len(targets))]
         t = Transducer(shape, [f"s{i}" for i in range(n)], ["go"], outputs, kernel, np.eye(n)[0])
-        assert _closure(build_msp, t, tol) == _closure(scan_build_msp, t, tol)
+        if np.isnan(tol):
+            with pytest.raises(StructureError, match="^tol must be a finite number at least 0, got nan$"):
+                build_msp(t, tol)
+        else:
+            assert _closure(build_msp, t, tol) == _closure(scan_build_msp, t, tol)
 
     def test_reference_refuses_a_leaky_source_the_link_certifies(self):
         # valid at 2e-3, but pruning y leaves the belief column 0.0024 short

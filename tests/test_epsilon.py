@@ -171,6 +171,11 @@ class TestEpsilonTransducer:
         assert eps.n == 2
         assert is_isomorphic(eps.machine, fix_a)
 
+    @pytest.mark.parametrize("tol", [np.nan, -1e-9, np.inf])
+    def test_tol_not_finite_at_least_zero_is_refused(self, fix_a, tol):
+        with pytest.raises(StructureError, match=f"^tol must be a finite number at least 0, got {tol}$"):
+            epsilon_transducer(fix_a, tol)
+
     def test_flip_shuffle_deck_predictive_machine(self):
         # Pinned regression: the exact minimal predictive machine for the
         # 2R2B rotate/shuffle deck tracks the sequence of colors seen since

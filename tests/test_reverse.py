@@ -18,12 +18,16 @@ from vatworld.reverse import (
 )
 
 from conftest import (
+    PROPERTY_KINDS,
+    PROPERTY_TOLS,
     delayed_leak_machine,
     exhaustive_check_reversible,
     history_walk_state_marginals,
     leak_machine,
+    loop_reverse_kernel,
     pair_machine,
     path_enum_reverse_generates,
+    property_machine,
     random_io_moore,
     random_permutation_machine,
     random_rare_machine,
@@ -320,7 +324,7 @@ class TestIsActionCounifilar:
 
 class TestReverseKernel:
     def test_parity_flip_is_deterministic_backwards(self, fix_a):
-        rk = reverse_kernel(fix_a, UNIFORM, tau=1)
+        rk = reverse_kernel(fix_a, state_marginals(fix_a, UNIFORM, 1), tau=1)
         assert rk.defined_mask.all()
         for a in range(2):
             for j in range(2):  # next state index
@@ -330,22 +334,63 @@ class TestReverseKernel:
                 assert rk.matrices[a].sum() == pytest.approx(2.0)
 
     def test_unreachable_columns_masked_at_time_zero(self, fix_a):
-        rk = reverse_kernel(fix_a, UNIFORM, tau=0)
+        rk = reverse_kernel(fix_a, state_marginals(fix_a, UNIFORM, 0), tau=0)
         # from the fixed start, action 0 keeps the state at s0
         assert rk.defined_mask[0, 0] and not rk.defined_mask[0, 1]
         assert rk.defined_mask[1, 1] and not rk.defined_mask[1, 0]
 
     def test_memoryless_machine_reverse_equals_forward(self):
         t = one_state_coin()
-        rk = reverse_kernel(t, UNIFORM, tau=2)
+        rk = reverse_kernel(t, state_marginals(t, UNIFORM, 2), tau=2)
         np.testing.assert_allclose(rk.matrices, t.kernel, atol=1e-12)
 
     def test_columns_normalize_even_for_non_reversible_machines(self, fix_d):
         flip = make_card_deck(2, 2, "flip_shuffle")
         for t, tau in ((fix_d, 1), (fix_d, 2), (flip, 1), (flip, 3)):
-            rk = reverse_kernel(t, UNIFORM, tau=tau)
+            rk = reverse_kernel(t, state_marginals(t, UNIFORM, tau), tau=tau)
             sums = rk.column_sums()
             np.testing.assert_allclose(sums[rk.defined_mask], 1.0, atol=1e-9)
+
+
+    def test_tau_outside_the_table_is_refused(self, fix_d):
+        table = state_marginals(fix_d, UNIFORM, horizon=3)
+        for tau in (-1, 4):
+            with pytest.raises(StructureError, match=f"horizon 3, got {tau}$"):
+                reverse_kernel(fix_d, table, tau)
+        assert reverse_kernel(fix_d, table, 3).tau == 3
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(PROPERTY_KINDS),
+        policy_kind=st.sampled_from(["uniform", "weighted", "table"]),
+        horizon=st.integers(0, 4),
+        tol=st.sampled_from(PROPERTY_TOLS),
+    )
+    def test_same_kernel_as_the_column_loop(self, seed, kind, policy_kind, horizon, tol):
+        t = property_machine(kind, seed)
+        rng = np.random.default_rng(seed)
+        n_a, n_y = len(t.actions), len(t.outputs)
+        if policy_kind == "uniform":
+            policy = Policy.uniform()
+        elif policy_kind == "weighted":
+            # a small concentration leaves some actions rare, below the larger tols
+            policy = Policy.weighted(rng.dirichlet(np.full(n_a, 0.3)))
+        else:
+            table = {}
+            for _ in range(int(rng.integers(1, 5))):
+                k = int(rng.integers(0, 3))
+                acts = [t.actions.symbols[a] for a in rng.integers(0, n_a, k)]
+                outs = [t.outputs.symbols[y] for y in rng.integers(0, n_y, k)]
+                table[History(acts, outs)] = rng.dirichlet(np.ones(n_a))
+            policy = Policy.from_table(table)
+        marginals = state_marginals(t, policy, horizon)
+        for tau in range(horizon + 1):
+            ref = loop_reverse_kernel(t, marginals, tau, tol)
+            got = reverse_kernel(t, marginals, tau, tol)
+            assert np.array_equal(got.matrices, ref.matrices)
+            assert np.array_equal(got.defined_mask, ref.defined_mask)
+            assert (got.tau, got.policy) == (tau, marginals.policy)
 
 
 class TestVerifyReverseGenerates:
@@ -372,9 +417,7 @@ class TestVerifyReverseGenerates:
         # the forward word probabilities
         horizon = 3
         marginals = state_marginals(fix_a, UNIFORM, horizon)
-        revs = [
-            reverse_kernel(fix_a, UNIFORM, tau, marginals=marginals) for tau in range(horizon)
-        ]
+        revs = [reverse_kernel(fix_a, marginals, tau) for tau in range(horizon)]
         tr = fix_a.transition_marginals()
         n = fix_a.n
         for acts in itertools.product(range(2), repeat=horizon):
